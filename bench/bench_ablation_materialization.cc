@@ -32,11 +32,11 @@ class NoopEstimator : public Estimator<double, double> {
   explicit NoopEstimator(int weight) : weight_(weight) {}
   std::string Name() const override { return "NoopEstimator"; }
   int Weight() const override { return weight_; }
-  std::shared_ptr<Transformer<double, double>> Fit(
+  Fitted<Transformer<double, double>> Fit(
       const DistDataset<double>& data, ExecContext* ctx) const override {
     (void)data;
     (void)ctx;
-    return std::make_shared<NoopTransformer>();
+    return {std::make_shared<NoopTransformer>(), std::nullopt};
   }
 
  private:

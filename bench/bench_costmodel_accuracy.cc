@@ -67,9 +67,9 @@ void SolverStudy(Tally* tally) {
           }
           ExecContext ctx(cluster);
           Timer timer;
-          option->FitAny(corpus.train, corpus.train_labels, &ctx);
+          const auto actual =
+              option->FitAny(corpus.train, corpus.train_labels, &ctx).cost;
           const double wall = timer.ElapsedSeconds();
-          const auto actual = ctx.TakeActualCost();
           // Empirical time: model-accounted cluster time plus the measured
           // local kernel time (captures constants the model omits).
           seconds[i] = cluster.SecondsFor(actual.value()) + wall;
@@ -125,9 +125,9 @@ void PcaStudy(Tally* tally) {
         for (size_t i = 0; i < logical->options().size(); ++i) {
           ExecContext ctx(cluster);
           Timer timer;
-          logical->options()[i]->FitAny(data, nullptr, &ctx);
+          const auto actual =
+              logical->options()[i]->FitAny(data, nullptr, &ctx).cost;
           const double wall = timer.ElapsedSeconds();
-          const auto actual = ctx.TakeActualCost();
           seconds[i] = cluster.SecondsFor(actual.value()) + wall;
           if (seconds[i] < best_seconds) {
             best_seconds = seconds[i];

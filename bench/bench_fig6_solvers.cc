@@ -88,13 +88,12 @@ void CorrectnessCrossCheck() {
   config.block_epochs = 8;
   ExecContext ctx(ClusterResourceDescriptor::C3_4xlarge(16));
 
-  auto loss_of = [&](const std::shared_ptr<Transformer<DenseVec, DenseVec>>&
-                         model) {
+  auto loss_of = [&](const Fitted<Transformer<DenseVec, DenseVec>>& fitted) {
     double loss = 0.0;
     size_t i = 0;
     const auto labels = corpus.train_labels->Collect();
     for (const auto& rec : corpus.train->Collect()) {
-      const auto pred = model->Apply(rec);
+      const auto pred = fitted.model->Apply(rec);
       for (size_t c = 0; c < pred.size(); ++c) {
         const double diff = pred[c] - labels[i][c];
         loss += diff * diff;

@@ -112,7 +112,8 @@ void LossCrossCheck() {
   config.num_classes = 2;
   ExecContext ctx(cluster);
   const DistributedExactSolver keystone_solver(config);
-  auto model = keystone_solver.Fit(*corpus.train, *corpus.train_labels, &ctx);
+  auto model =
+      keystone_solver.Fit(*corpus.train, *corpus.train_labels, &ctx).model;
   auto* typed = dynamic_cast<LinearMapModel*>(model.get());
   std::printf("  KeystoneML (exact) loss: %.5f\n",
               LeastSquaresLoss(a, typed->weights(), b));

@@ -53,7 +53,7 @@ class MeanModel : public Transformer<double, double> {
 class MeanEstimator : public Estimator<double, double> {
  public:
   std::string Name() const override { return "MeanEstimator"; }
-  std::shared_ptr<Transformer<double, double>> Fit(
+  Fitted<Transformer<double, double>> Fit(
       const DistDataset<double>& data, ExecContext* ctx) const override {
     (void)ctx;
     double sum = 0.0;
@@ -64,7 +64,8 @@ class MeanEstimator : public Estimator<double, double> {
         ++count;
       }
     }
-    return std::make_shared<MeanModel>(count > 0 ? sum / count : 0.0);
+    return {std::make_shared<MeanModel>(count > 0 ? sum / count : 0.0),
+            std::nullopt};
   }
 };
 

@@ -77,7 +77,7 @@ void SubspaceCrossCheck() {
   for (auto place : {PcaPlacement::kLocal, PcaPlacement::kDistributed}) {
     for (auto alg : {PcaAlgorithm::kExactSvd, PcaAlgorithm::kTruncatedSvd}) {
       PcaEstimator pca(5, alg, place);
-      auto model = pca.Fit(*data, &ctx);
+      auto model = pca.Fit(*data, &ctx).model;
       auto* typed = dynamic_cast<PcaModel*>(model.get());
       // Projection of a probe image must retain (almost) all its energy.
       const Matrix probe = data->partitions()[0][0];

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: repo lint, tier-1 verification with warnings-as-errors,
+# a build of the perfbench wall-clock benchmark plus its arithmetic tests,
 # the pipeline_lint static-analysis pass, the explain observability pass
 # (decision provenance + calibration over every shipped workload), the
 # serving smoke gate (determinism + batching-throughput checks), the
@@ -89,6 +90,16 @@ echo "=== tier-1: build (warnings-as-errors) + full test suite ==="
 cmake -B build -S . -DKEYSTONE_WERROR=ON
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+echo "=== benchmark: build perfbench + run its arithmetic tests ==="
+# The wall-clock benchmark (perfbench/, run by perfbench/run.py) drives
+# PlannedNode, PassManager and PlanRunner directly but has its own
+# CMakeLists, so neither the build above nor ctest compiles it; a src/
+# signature change would otherwise break the benchmark unnoticed.
+cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build/perfbench -j"$(nproc)" \
+  --target perfbench_harness perfbench_math_test
+./build/perfbench/perfbench_math_test
 
 echo "=== static analysis: pipeline_lint over shipped workloads ==="
 # Structural + dataflow rules (shape.*, card.*, memory.*, effect.*) over

@@ -11,6 +11,7 @@
 
 #include "src/analysis/plan_validator.h"
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/string_util.h"
 #include "src/core/physical_plan.h"
 #include "src/linalg/sparse.h"
@@ -207,11 +208,7 @@ AnyDataset DecodePayload(const std::string& in) {
 
 /// Stable object-file basename for a key: FNV-1a of the key, hex.
 std::string ObjectName(const std::string& key) {
-  uint64_t h = 14695981039346656037ULL;
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
+  const uint64_t h = Fnv1a(kFnvOffsetBasis, key);
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx.art",
                 static_cast<unsigned long long>(h));  // NOLINT

@@ -17,8 +17,6 @@ namespace keystone {
 /// Gaps between values leave room for future locks.
 enum LockRank : int {
   kLockRankUnranked = -1,
-  kLockRankExecContext = 5,    // ExecContext actual-cost slot (leaf-like:
-                               // never held across another acquisition)
   kLockRankLedger = 10,        // VirtualTimeLedger::mu_
   kLockRankProfileStore = 20,  // obs::ProfileStore::mu_
   kLockRankArtifactCatalog = 25,  // cache::ArtifactCatalog::mu_

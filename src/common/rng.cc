@@ -3,23 +3,20 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 
 namespace keystone {
 
 namespace {
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : state_) s = SplitMix64(&sm);
+  // The first four outputs of a SplitMix64 generator seeded with `seed`.
+  for (auto& s : state_) {
+    s = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
+  }
 }
 
 uint64_t Rng::NextU64() {

@@ -1,20 +1,14 @@
 #ifndef KEYSTONE_CORE_EXEC_CONTEXT_H_
 #define KEYSTONE_CORE_EXEC_CONTEXT_H_
 
-#include <map>
 #include <memory>
-#include <optional>
-#include <thread>
 
-#include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile_store.h"
 #include "src/obs/resource_timeline.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
-#include "src/sim/cost_profile.h"
 #include "src/sim/resources.h"
 #include "src/sim/virtual_time.h"
 
@@ -52,18 +46,19 @@ struct ExecOptions {
 
 /// Everything an operator needs at execution time: the cluster description,
 /// the virtual-time ledger, and a worker pool for real (in-process) compute.
-/// Operators run their real kernels on the pool and report the cost profile
-/// of the equivalent distributed execution, which the executor charges to
-/// the ledger. The context also carries the observability sinks — trace
-/// recorder, metrics registry, and observed-cost profile store — which
-/// default to the process-wide instances and may be redirected per context.
+/// Operators run their real kernels on the pool; estimators return the cost
+/// profile of the equivalent distributed execution alongside their model
+/// (Fitted), and the executor charges it to the ledger. The context also
+/// carries the observability sinks — trace recorder, metrics registry, and
+/// observed-cost profile store — which default to the process-wide
+/// instances and may be redirected per context.
 ///
 /// The state splits into two layers:
 ///  - the shared execution *environment* (cluster description, worker pool,
 ///    observability sinks), safely shared across any number of contexts and
 ///    long-lived (a PipelineExecutor or a PipelineServer owns one); and
-///  - the per-run state (ledger, fault plan, actual-cost slots) that
-///    belongs to exactly one fit or one serving request.
+///  - the per-run state (ledger, fault plan) that belongs to exactly one
+///    fit or one serving request.
 /// MakeRequestContext() clones the environment into a fresh context with
 /// clean per-run state — the serving path mints one per batch so request
 /// ledgers never bleed into each other or into a concurrent fit.
@@ -126,9 +121,9 @@ class ExecContext {
   }
 
   /// A fresh context sharing this one's environment (resources, pool,
-  /// observability sinks) with clean per-run state: a zeroed ledger, no
-  /// fault plan, no pending actual-cost reports. The serving request path
-  /// reads a request's virtual service seconds off its own ledger.
+  /// observability sinks) with clean per-run state: a zeroed ledger and no
+  /// fault plan. The serving request path reads a request's virtual service
+  /// seconds off its own ledger.
   std::unique_ptr<ExecContext> MakeRequestContext() const {
     auto ctx = std::make_unique<ExecContext>(resources_);
     ctx->pool_ = pool_;
@@ -155,45 +150,6 @@ class ExecContext {
   const faults::FaultPlan* fault_plan() const { return fault_plan_; }
   void set_fault_plan(const faults::FaultPlan* plan) { fault_plan_ = plan; }
 
-  /// Operators whose cost depends on runtime behaviour (e.g. iterative
-  /// solvers whose iteration count is data dependent) call this during
-  /// ApplyAny/FitAny; the executor reads and clears it afterwards, falling
-  /// back to the operator's a-priori cost estimate when absent. The slot is
-  /// per calling thread so branch-parallel node execution cannot attribute
-  /// one branch's report to another: PlanRunner invokes the operator and
-  /// takes its cost on the same scheduler thread.
-  void ReportActualCost(const CostProfile& cost) {
-    MutexLock lock(&actual_mu_);
-    actual_cost_[std::this_thread::get_id()] = cost;
-  }
-
-  std::optional<CostProfile> TakeActualCost() {
-    MutexLock lock(&actual_mu_);
-    auto it = actual_cost_.find(std::this_thread::get_id());
-    if (it == actual_cost_.end()) return std::nullopt;
-    CostProfile out = it->second;
-    actual_cost_.erase(it);
-    return out;
-  }
-
-  /// Discards any unconsumed actual-cost report left on this thread. The
-  /// runner calls this immediately before invoking an operator so a stale
-  /// report — left by a caller that ran an operator without taking its
-  /// cost — can never be attributed to the next operator. Returns true when
-  /// a stale report was actually dropped (also counted in the
-  /// `exec.stale_actual_costs` metric).
-  bool BeginOperatorScope() {
-    bool stale = false;
-    {
-      MutexLock lock(&actual_mu_);
-      stale = actual_cost_.erase(std::this_thread::get_id()) > 0;
-    }
-    if (stale && metrics_ != nullptr) {
-      metrics_->Increment("exec.stale_actual_costs");
-    }
-    return stale;
-  }
-
  private:
   ClusterResourceDescriptor resources_;
   VirtualTimeLedger ledger_;
@@ -206,10 +162,6 @@ class ExecContext {
   ExecOptions exec_options_;
   cache::ArtifactCatalog* catalog_ = nullptr;
   const faults::FaultPlan* fault_plan_ = nullptr;
-  /// Leaf lock (lowest rank): held only for map access, never across a call
-  /// into metrics/trace/ledger.
-  mutable Mutex actual_mu_{kLockRankExecContext};
-  std::map<std::thread::id, CostProfile> actual_cost_ GUARDED_BY(actual_mu_);
 };
 
 }  // namespace keystone

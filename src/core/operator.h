@@ -2,6 +2,7 @@
 #define KEYSTONE_CORE_OPERATOR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,19 @@ class Transformer : public TransformerBase {
   }
 };
 
+/// What one fit produced: the fitted model and, when the kernel knows it,
+/// the cost of the equivalent distributed execution (e.g. an iterative
+/// solver whose iteration count is data dependent). PlanRunner charges
+/// `cost` in place of the estimator's a-priori EstimateCost unless a
+/// virtual scale makes it describe a smaller run than the one modeled.
+/// Returning the cost from the call that incurred it keeps every report
+/// attached to its own node, whichever thread ran the fit.
+template <typename Model>
+struct Fitted {
+  std::shared_ptr<Model> model;
+  std::optional<CostProfile> cost;
+};
+
 /// Base class for operators that are fit on a dataset and produce a
 /// transformer (the paper's Estimator: a function-generating function).
 class EstimatorBase {
@@ -160,10 +174,11 @@ class EstimatorBase {
   virtual std::string ParamSignature() const { return ""; }
 
   /// Fits on `data` (and `labels` when the estimator is supervised; null
-  /// otherwise), returning the fitted model as a transformer.
-  virtual std::shared_ptr<TransformerBase> FitAny(const AnyDataset& data,
-                                                  const AnyDataset& labels,
-                                                  ExecContext* ctx) const = 0;
+  /// otherwise), returning the fitted model as a transformer together with
+  /// the fit's cost when the kernel reports one.
+  virtual Fitted<TransformerBase> FitAny(const AnyDataset& data,
+                                         const AnyDataset& labels,
+                                         ExecContext* ctx) const = 0;
 
   /// CostModel for the fitting step (see TransformerBase::EstimateCost).
   virtual CostProfile EstimateCost(const DataStats& in, int workers) const {
@@ -218,8 +233,8 @@ class Estimator : public EstimatorBase {
   using InputType = A;
   using OutputType = B;
 
-  virtual std::shared_ptr<Transformer<A, B>> Fit(const DistDataset<A>& data,
-                                                 ExecContext* ctx) const = 0;
+  virtual Fitted<Transformer<A, B>> Fit(const DistDataset<A>& data,
+                                        ExecContext* ctx) const = 0;
 
   ValueShape InputShapeRequirement() const override {
     return StaticShapeOf<A>::Get();
@@ -229,12 +244,13 @@ class Estimator : public EstimatorBase {
     return StaticShapeOf<B>::Get();
   }
 
-  std::shared_ptr<TransformerBase> FitAny(const AnyDataset& data,
-                                          const AnyDataset& labels,
-                                          ExecContext* ctx) const override {
+  Fitted<TransformerBase> FitAny(const AnyDataset& data,
+                                 const AnyDataset& labels,
+                                 ExecContext* ctx) const override {
     KS_CHECK(labels == nullptr) << Name() << " is unsupervised";
     auto typed = DistDataset<A>::Cast(data);
-    return Fit(*typed, ctx);
+    Fitted<Transformer<A, B>> fitted = Fit(*typed, ctx);
+    return {std::move(fitted.model), fitted.cost};
   }
 };
 
@@ -246,9 +262,9 @@ class LabelEstimator : public EstimatorBase {
   using OutputType = B;
   using LabelType = L;
 
-  virtual std::shared_ptr<Transformer<A, B>> Fit(const DistDataset<A>& data,
-                                                 const DistDataset<L>& labels,
-                                                 ExecContext* ctx) const = 0;
+  virtual Fitted<Transformer<A, B>> Fit(const DistDataset<A>& data,
+                                        const DistDataset<L>& labels,
+                                        ExecContext* ctx) const = 0;
 
   ValueShape InputShapeRequirement() const override {
     return StaticShapeOf<A>::Get();
@@ -261,13 +277,14 @@ class LabelEstimator : public EstimatorBase {
     return StaticShapeOf<B>::Get();
   }
 
-  std::shared_ptr<TransformerBase> FitAny(const AnyDataset& data,
-                                          const AnyDataset& labels,
-                                          ExecContext* ctx) const override {
+  Fitted<TransformerBase> FitAny(const AnyDataset& data,
+                                 const AnyDataset& labels,
+                                 ExecContext* ctx) const override {
     KS_CHECK(labels != nullptr) << Name() << " requires labels";
     auto typed_data = DistDataset<A>::Cast(data);
     auto typed_labels = DistDataset<L>::Cast(labels);
-    return Fit(*typed_data, *typed_labels, ctx);
+    Fitted<Transformer<A, B>> fitted = Fit(*typed_data, *typed_labels, ctx);
+    return {std::move(fitted.model), fitted.cost};
   }
 
   bool IsSupervised() const override { return true; }
@@ -360,9 +377,9 @@ class OptimizableEstimator : public EstimatorBase {
     return options_[0];
   }
 
-  std::shared_ptr<TransformerBase> FitAny(const AnyDataset& data,
-                                          const AnyDataset& labels,
-                                          ExecContext* ctx) const override {
+  Fitted<TransformerBase> FitAny(const AnyDataset& data,
+                                 const AnyDataset& labels,
+                                 ExecContext* ctx) const override {
     return options_[0]->FitAny(data, labels, ctx);
   }
 

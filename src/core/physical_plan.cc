@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
-#include <string_view>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/string_util.h"
 
 namespace keystone {
@@ -110,16 +110,6 @@ std::string OperatorSignature(const PipelineGraph& graph,
 
 // JSON escaping/number rendering come from common/string_util (shared with
 // the obs exporters).
-
-/// FNV-1a over a byte string; folds the transitive-input identities into a
-/// fixed-width suffix so lineage fingerprints stay bounded on deep DAGs.
-uint64_t Fnv1a(uint64_t h, std::string_view s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -472,9 +462,10 @@ void RelowerPlan(PhysicalPlan* plan) {
        << "|" << pn.input_records;
     pn.fingerprint = fp.str();
     // Lineage fingerprint: the local fingerprint plus a hash folding in
-    // every input's lineage identity. Edges are forward (inputs < id), so
-    // inputs' lineage fingerprints are already final in this id-order loop.
-    uint64_t h = Fnv1a(14695981039346656037ULL, pn.fingerprint);
+    // every input's lineage identity, so the suffix stays fixed-width on
+    // deep DAGs. Edges are forward (inputs < id), so inputs' lineage
+    // fingerprints are already final in this id-order loop.
+    uint64_t h = Fnv1a(kFnvOffsetBasis, pn.fingerprint);
     for (int in : node.inputs) {
       h = Fnv1a(h, plan->nodes[in].lineage_fingerprint);
     }

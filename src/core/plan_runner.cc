@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -78,6 +79,56 @@ obs::TracePhase PhaseFor(ExecMode mode) {
 PlanRunner::PlanRunner(PhysicalPlan* plan, ExecContext* ctx)
     : plan_(plan), ctx_(ctx) {}
 
+PlanRunner::NodeOutcome& PlanRunner::BeginOutcome(int id) {
+  const PlannedNode& pn = plan_->nodes[id];
+  NodeOutcome& out = outcomes_[id];
+  out.executed = true;
+  out.span.node_id = id;
+  out.span.name = pn.name;
+  out.span.kind = NodeKindName(pn.kind);
+  out.span.phase = PhaseFor(mode_);
+  return out;
+}
+
+std::shared_ptr<TransformerBase> PlanRunner::TransformerFor(
+    const PlannedNode& pn) const {
+  if (pn.kind != NodeKind::kApplyModel) return pn.physical_transformer;
+  if (mode_ != ExecMode::kApply) return models_[pn.model_input];
+  auto it = apply_models_->find(pn.model_input);
+  return it == apply_models_->end() ? nullptr : it->second;
+}
+
+void PlanRunner::NameOperator(const PlannedNode& pn, const TransformerBase& op,
+                              NodeOutcome* out) const {
+  out->op_name = op.Name();
+  out->span.physical =
+      pn.kind == NodeKind::kApplyModel || mode_ == ExecMode::kApply
+          ? out->op_name
+          : pn.physical_name;
+}
+
+template <typename Invoke>
+void PlanRunner::InvokeAndCharge(NodeOutcome* out, const DataStats& in_stats,
+                                 double scale, Invoke invoke) {
+  obs::TraceSpan& span = out->span;
+  Timer timer;
+  const std::optional<CostProfile> reported = invoke();
+  span.wall_seconds = timer.ElapsedSeconds();
+  // With a virtual scale, a reported cost describes the real (small) run,
+  // so full-scale passes charge the cost model at the scaled statistics
+  // instead. Profile passes run at sample scale and always trust it.
+  const bool trusted = InProfileMode() || scale <= 1.0;
+  span.observed = reported;
+  span.used_observed = reported.has_value() && trusted;
+  out->in_stats = in_stats;
+  out->record_observation = trusted;
+  out->charge_cost = span.used_observed ? *reported : span.predicted;
+  if (InProfileMode()) {
+    out->charge_cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
+  }
+  out->seconds = ctx_->resources().SecondsFor(out->charge_cost);
+}
+
 void PlanRunner::ExecuteNode(int id) {
   // Region members already executed by a fused streaming pass.
   if (outcomes_[id].executed) return;
@@ -91,13 +142,8 @@ void PlanRunner::ExecuteNode(int id) {
   const GraphNode& node = plan_->graph->node(id);
   const auto& resources = ctx_->resources();
   const bool profile = InProfileMode();
-  NodeOutcome& out = outcomes_[id];
-  out.executed = true;
+  NodeOutcome& out = BeginOutcome(id);
   obs::TraceSpan& span = out.span;
-  span.node_id = id;
-  span.name = pn.name;
-  span.kind = NodeKindName(pn.kind);
-  span.phase = PhaseFor(mode_);
 
   // A node the ReusePass rewrote into a catalog read: fetch the stored
   // payload instead of computing. Fit mode only — profile passes run before
@@ -158,7 +204,8 @@ void PlanRunner::ExecuteNode(int id) {
       break;
     }
     case NodeKind::kTransformer:
-    case NodeKind::kGather: {
+    case NodeKind::kGather:
+    case NodeKind::kApplyModel: {
       std::vector<AnyDataset> inputs;
       for (int dep : pn.inputs) {
         KS_CHECK(outputs_[dep] != nullptr)
@@ -171,34 +218,22 @@ void PlanRunner::ExecuteNode(int id) {
           pn.chosen_option < 0) {
         select_(id, in_stats);  // may rewrite pn via SetChosenOption
       }
-      const std::shared_ptr<TransformerBase> op = pn.physical_transformer;
-      out.op_name = op->Name();
-      span.physical = mode_ == ExecMode::kApply ? out.op_name
-                                                : pn.physical_name;
+      const std::shared_ptr<TransformerBase> op = TransformerFor(pn);
+      KS_CHECK(op != nullptr)
+          << "node " << pn.name << " has no operator"
+          << (pn.kind == NodeKind::kApplyModel
+                  ? " (model node " + std::to_string(pn.model_input) +
+                        " not fitted)"
+                  : "");
+      NameOperator(pn, *op, &out);
       span.predicted = op->EstimateCost(in_stats, resources.num_nodes);
-      ctx_->BeginOperatorScope();
-      Timer timer;
-      outputs_[id] = op->ApplyAny(inputs, ctx_);
-      span.wall_seconds = timer.ElapsedSeconds();
+      // No transformer reports a cost: apply nodes charge their prediction.
+      InvokeAndCharge(&out, in_stats, scale,
+                      [&]() -> std::optional<CostProfile> {
+                        outputs_[id] = op->ApplyAny(inputs, ctx_);
+                        return std::nullopt;
+                      });
       if (!profile) outputs_[id]->set_virtual_scale(scale);
-      const auto actual = ctx_->TakeActualCost();
-      span.observed = actual;
-      out.in_stats = in_stats;
-      if (profile) {
-        span.used_observed = actual.has_value();
-        out.record_observation = true;
-        CostProfile cost = actual.has_value() ? *actual : span.predicted;
-        cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
-        out.charge_cost = cost;  // also the timeline's per-resource split
-        out.seconds = resources.SecondsFor(cost);
-      } else {
-        // With a virtual scale, kernel-reported costs describe the real
-        // (small) run; use the cost model at the scaled statistics instead.
-        span.used_observed = actual.has_value() && scale <= 1.0;
-        out.record_observation = scale <= 1.0;
-        out.charge_cost = span.used_observed ? *actual : span.predicted;
-        out.seconds = resources.SecondsFor(out.charge_cost);
-      }
       out.out_stats = outputs_[id]->ComputeStats();
       span.partitions = outputs_[id]->NumPartitions();
       span.records_in = in_stats.num_records;
@@ -221,76 +256,14 @@ void PlanRunner::ExecuteNode(int id) {
       out.op_name = est->Name();
       span.physical = pn.physical_name;
       span.predicted = est->EstimateCost(in_stats, resources.num_nodes);
-      ctx_->BeginOperatorScope();
-      Timer timer;
-      models_[id] = est->FitAny(data, labels, ctx_);
-      span.wall_seconds = timer.ElapsedSeconds();
-      const auto actual = ctx_->TakeActualCost();
-      span.observed = actual;
-      out.in_stats = in_stats;
-      if (profile) {
-        span.used_observed = actual.has_value();
-        out.record_observation = true;
-        CostProfile cost = actual.has_value() ? *actual : span.predicted;
-        cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
-        out.charge_cost = cost;  // also the timeline's per-resource split
-        out.seconds = resources.SecondsFor(cost);
-      } else {
-        span.used_observed = actual.has_value() && scale <= 1.0;
-        out.record_observation = scale <= 1.0;
-        out.charge_cost = span.used_observed ? *actual : span.predicted;
-        out.seconds = resources.SecondsFor(out.charge_cost);
-      }
+      InvokeAndCharge(&out, in_stats, scale, [&] {
+        Fitted<TransformerBase> fitted = est->FitAny(data, labels, ctx_);
+        models_[id] = std::move(fitted.model);
+        return fitted.cost;
+      });
       span.partitions = data->NumPartitions();
       span.records_in = in_stats.num_records;
       out.sample_records = data->NumRecords();
-      break;
-    }
-    case NodeKind::kApplyModel: {
-      const AnyDataset data = outputs_[pn.inputs[0]];
-      KS_CHECK(data != nullptr)
-          << "runtime node " << pn.name << " depends on train-only data";
-      const double scale = data->virtual_scale();
-      const DataStats in_stats = data->ComputeStats();
-      std::shared_ptr<TransformerBase> model;
-      if (mode_ == ExecMode::kApply) {
-        auto it = apply_models_->find(pn.model_input);
-        KS_CHECK(it != apply_models_->end())
-            << "no model fitted for node " << pn.model_input;
-        model = it->second;
-      } else {
-        model = models_[pn.model_input];
-        KS_CHECK(model != nullptr)
-            << "no model available for node " << pn.model_input;
-      }
-      out.op_name = model->Name();
-      span.physical = out.op_name;
-      span.predicted = model->EstimateCost(in_stats, resources.num_nodes);
-      ctx_->BeginOperatorScope();
-      Timer timer;
-      outputs_[id] = model->ApplyAny({data}, ctx_);
-      span.wall_seconds = timer.ElapsedSeconds();
-      if (!profile) outputs_[id]->set_virtual_scale(scale);
-      const auto actual = ctx_->TakeActualCost();
-      span.observed = actual;
-      out.in_stats = in_stats;
-      if (profile) {
-        span.used_observed = actual.has_value();
-        out.record_observation = true;
-        CostProfile cost = actual.has_value() ? *actual : span.predicted;
-        cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
-        out.charge_cost = cost;  // also the timeline's per-resource split
-        out.seconds = resources.SecondsFor(cost);
-      } else {
-        span.used_observed = actual.has_value() && scale <= 1.0;
-        out.record_observation = scale <= 1.0;
-        out.charge_cost = span.used_observed ? *actual : span.predicted;
-        out.seconds = resources.SecondsFor(out.charge_cost);
-      }
-      out.out_stats = outputs_[id]->ComputeStats();
-      span.partitions = outputs_[id]->NumPartitions();
-      span.records_in = in_stats.num_records;
-      out.sample_records = out.out_stats.num_records;
       break;
     }
     case NodeKind::kPlaceholder:
@@ -330,19 +303,7 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
   std::vector<std::shared_ptr<TransformerBase>> ops;
   ops.reserve(k);
   for (int id : region.nodes) {
-    const PlannedNode& pn = plan_->nodes[id];
-    std::shared_ptr<TransformerBase> op;
-    if (pn.kind == NodeKind::kApplyModel) {
-      if (mode_ == ExecMode::kApply) {
-        auto it = apply_models_->find(pn.model_input);
-        if (it == apply_models_->end()) return false;
-        op = it->second;
-      } else {
-        op = models_[pn.model_input];
-      }
-    } else {
-      op = pn.physical_transformer;
-    }
+    std::shared_ptr<TransformerBase> op = TransformerFor(plan_->nodes[id]);
     if (op == nullptr || !op->SupportsChunkedApply()) return false;
     ops.push_back(std::move(op));
   }
@@ -359,7 +320,6 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
       k - 1, std::vector<std::vector<ElementStat>>(num_parts));
   std::vector<std::vector<AnyChunk>> tail_chunks(num_parts);
   std::vector<double> part_peak(num_parts, 0.0);
-  ctx_->BeginOperatorScope();
   Timer timer;
   ctx_->pool()->ParallelFor(num_parts, [&](size_t p) {
     const size_t psize = input->PartitionSize(p);
@@ -390,9 +350,6 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
     }
   });
   const double wall = timer.ElapsedSeconds();
-  // ApplyChunk implementations do not report actual costs; drop any stray
-  // report so it cannot leak into the next node scheduled on this thread.
-  ctx_->TakeActualCost();
 
   // Reassemble the tail output serially, preserving the partition layout.
   std::unique_ptr<ChunkCollectorBase> collector;
@@ -423,21 +380,9 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
   }
   for (size_t m = 0; m < k; ++m) {
     const int id = region.nodes[m];
-    const PlannedNode& pn = plan_->nodes[id];
-    NodeOutcome& out = outcomes_[id];
-    out.executed = true;
+    NodeOutcome& out = BeginOutcome(id);
     obs::TraceSpan& span = out.span;
-    span.node_id = id;
-    span.name = pn.name;
-    span.kind = NodeKindName(pn.kind);
-    span.phase = PhaseFor(mode_);
-    out.op_name = ops[m]->Name();
-    if (pn.kind == NodeKind::kApplyModel) {
-      span.physical = out.op_name;
-    } else {
-      span.physical =
-          mode_ == ExecMode::kApply ? out.op_name : pn.physical_name;
-    }
+    NameOperator(plan_->nodes[id], *ops[m], &out);
     span.predicted = ops[m]->EstimateCost(in_stats, resources.num_nodes);
     span.wall_seconds = m == 0 ? wall : 0.0;
     span.observed = std::nullopt;

@@ -104,6 +104,29 @@ class PlanRunner {
   void ExecuteNode(int id);
   void FlushOutcome(int id);
 
+  /// Marks node `id` executed and stamps its span's identity (id, name,
+  /// kind, phase).
+  NodeOutcome& BeginOutcome(int id);
+
+  /// The transformer node `pn` applies: its physical operator, or for an
+  /// apply-model node the model fitted for it (null when there is none).
+  std::shared_ptr<TransformerBase> TransformerFor(const PlannedNode& pn) const;
+
+  /// Records `op` as the operator executing `pn`. The span shows the
+  /// optimizer's physical choice on the training path and the operator's
+  /// own name for fitted models and on the runtime path.
+  void NameOperator(const PlannedNode& pn, const TransformerBase& op,
+                    NodeOutcome* out) const;
+
+  /// The single invoke → time → charge path of operator nodes. Times
+  /// `invoke` — the operator call, returning the cost it reported, if any —
+  /// into the span, then charges `out` from that cost or, without one, from
+  /// span.predicted. The cost is a return value, so a report can never be
+  /// charged to another node, whichever scheduler thread ran it.
+  template <typename Invoke>
+  void InvokeAndCharge(NodeOutcome* out, const DataStats& in_stats,
+                       double scale, Invoke invoke);
+
   /// Streams cache-resident chunks of the region head's input through every
   /// member's ApplyChunk, materializing only the tail output
   /// (ExecStyle::kChunked). Fills each member's NodeOutcome so the flushed

@@ -18,7 +18,7 @@ namespace obs {
 
 /// Aggregated observations of one physical operator at one scale bucket:
 /// what the cost model predicted vs. what the kernel actually reported
-/// (ExecContext::ReportActualCost), summed so averages can be formed.
+/// (the cost an estimator's Fit returns), summed so averages can be formed.
 struct OperatorObservation {
   std::string op;            // physical operator name
   int records_bucket = 0;    // floor(log2(records)); -1 when records == 0

@@ -4,44 +4,23 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/string_util.h"
 #include "src/common/timer.h"
 
 namespace keystone {
 namespace obs {
 
-namespace {
-
-/// FNV-1a over a string — the same seeded-draw discipline as the fault
-/// injection layer (src/sim/faults): hash the stable identity, mix with
-/// SplitMix64, and derive a uniform draw. Keeping the recipe identical
-/// means sampling decisions are reproducible across runs and machines.
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// SplitMix64 finalizer.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 bool TraceSampler::Sample(const std::string& tenant,
                           uint64_t request_id) const {
   if (rate_ >= 1.0) return true;
   if (rate_ <= 0.0) return false;
-  uint64_t key = Mix(seed_);
-  key = Mix(key ^ Fnv1a(tenant));
-  key = Mix(key ^ request_id);
+  // The fault layer's seeded-draw recipe (src/sim/faults): hash the stable
+  // identity, mix with SplitMix64, derive a uniform draw — so sampling
+  // decisions are reproducible across runs and machines.
+  uint64_t key = SplitMix64(seed_);
+  key = SplitMix64(key ^ Fnv1a(kFnvHistoricalOffsetBasis, tenant));
+  key = SplitMix64(key ^ request_id);
   // Top 53 bits -> uniform double in [0, 1).
   const double u = static_cast<double>(key >> 11) * 0x1.0p-53;
   return u < rate_;

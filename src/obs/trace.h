@@ -32,7 +32,7 @@ const char* TracePhaseName(TracePhase phase);
 
 /// One operator execution as seen by the executor: what ran, on how much
 /// data, what the cost model predicted, and what the kernel actually
-/// reported (via ExecContext::ReportActualCost).
+/// reported (the cost an estimator's Fit returns with its model).
 struct TraceSpan {
   int node_id = -1;
   std::string name;            // logical operator / node name

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/linalg/fft.h"
 #include "src/linalg/gemm.h"
@@ -110,16 +111,13 @@ std::string Convolver::Name() const {
 std::string Convolver::ParamSignature() const {
   // FNV-1a over the filter weights' bit patterns: banks drawn from different
   // seeds get different signatures even at identical geometry.
-  uint64_t hash = 1469598103934665603ull;
+  uint64_t hash = kFnvHistoricalOffsetBasis;
   for (const auto& filter : bank_.filters) {
     for (double v : filter.data) {
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(v), "double is not 64-bit");
       std::memcpy(&bits, &v, sizeof(bits));
-      for (int shift = 0; shift < 64; shift += 8) {
-        hash ^= (bits >> shift) & 0xffu;
-        hash *= 1099511628211ull;
-      }
+      hash = Fnv1aWord(hash, bits);
     }
   }
   char digest[32];

@@ -99,7 +99,7 @@ class StandardScalerModel : public Transformer<std::vector<double>,
 
 }  // namespace
 
-std::shared_ptr<Transformer<std::vector<double>, std::vector<double>>>
+Fitted<Transformer<std::vector<double>, std::vector<double>>>
 StandardScaler::Fit(const DistDataset<std::vector<double>>& data,
                     ExecContext* ctx) const {
   (void)ctx;
@@ -128,8 +128,9 @@ StandardScaler::Fit(const DistDataset<std::vector<double>>& data,
     const double var = std::max(0.0, sq[j] / n - mean[j] * mean[j]);
     inv_std[j] = 1.0 / std::sqrt(var + 1e-8);
   }
-  return std::make_shared<StandardScalerModel>(std::move(mean),
-                                               std::move(inv_std));
+  return {std::make_shared<StandardScalerModel>(std::move(mean),
+                                                std::move(inv_std)),
+          std::nullopt};
 }
 
 std::vector<double> OneHotEncoder::Apply(const int& label) const {

@@ -80,7 +80,7 @@ class StandardScaler : public Estimator<std::vector<double>,
  public:
   std::string Name() const override { return "StandardScaler"; }
 
-  std::shared_ptr<Transformer<std::vector<double>, std::vector<double>>> Fit(
+  Fitted<Transformer<std::vector<double>, std::vector<double>>> Fit(
       const DistDataset<std::vector<double>>& data,
       ExecContext* ctx) const override;
 

@@ -143,9 +143,8 @@ GmmParams FitGmm(const Matrix& rows, size_t components, int em_iterations,
   return params;
 }
 
-std::shared_ptr<Transformer<Matrix, std::vector<double>>>
-GmmFisherEstimator::Fit(const DistDataset<Matrix>& data,
-                        ExecContext* ctx) const {
+Fitted<Transformer<Matrix, std::vector<double>>> GmmFisherEstimator::Fit(
+    const DistDataset<Matrix>& data, ExecContext* ctx) const {
   const Matrix rows = StackRows(data);
   GmmParams params = FitGmm(rows, components_, em_iterations_, seed_);
 
@@ -158,8 +157,7 @@ GmmFisherEstimator::Fit(const DistDataset<Matrix>& data,
   cost.bytes = em_iterations_ * 8.0 * n * d / std::max(1, w);
   cost.network = em_iterations_ * 8.0 * 2.0 * k * d;
   cost.rounds = 2.0 * em_iterations_;
-  ctx->ReportActualCost(cost);
-  return std::make_shared<FisherVectorModel>(std::move(params));
+  return {std::make_shared<FisherVectorModel>(std::move(params)), cost};
 }
 
 CostProfile GmmFisherEstimator::EstimateCost(const DataStats& in,

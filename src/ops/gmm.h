@@ -38,7 +38,7 @@ class GmmFisherEstimator : public Estimator<Matrix, std::vector<double>> {
            ",seed=" + std::to_string(seed_);
   }
 
-  std::shared_ptr<Transformer<Matrix, std::vector<double>>> Fit(
+  Fitted<Transformer<Matrix, std::vector<double>>> Fit(
       const DistDataset<Matrix>& data, ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;

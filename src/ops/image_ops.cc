@@ -201,7 +201,7 @@ std::vector<double> Pooler::Apply(const Matrix& features) const {
   return out;
 }
 
-std::shared_ptr<Transformer<Matrix, Matrix>> ZcaWhitener::Fit(
+Fitted<Transformer<Matrix, Matrix>> ZcaWhitener::Fit(
     const DistDataset<Matrix>& data, ExecContext* ctx) const {
   (void)ctx;
   // Stack all descriptor rows; compute mean and covariance.
@@ -256,7 +256,8 @@ std::shared_ptr<Transformer<Matrix, Matrix>> ZcaWhitener::Fit(
     for (size_t i = 0; i < dim; ++i) scaled(i, j) *= s;
   }
   Matrix rotation = GemmTransB(scaled, eig.vectors);
-  return std::make_shared<ZcaModel>(std::move(mean), std::move(rotation));
+  return {std::make_shared<ZcaModel>(std::move(mean), std::move(rotation)),
+          std::nullopt};
 }
 
 CostProfile ZcaWhitener::EstimateCost(const DataStats& in, int workers) const {

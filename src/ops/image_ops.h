@@ -172,7 +172,7 @@ class ZcaWhitener : public Estimator<Matrix, Matrix> {
   std::string Name() const override { return "ZCAWhitener"; }
   std::string ParamSignature() const override { return ParamNumber(epsilon_); }
 
-  std::shared_ptr<Transformer<Matrix, Matrix>> Fit(
+  Fitted<Transformer<Matrix, Matrix>> Fit(
       const DistDataset<Matrix>& data, ExecContext* ctx) const override;
 
   /// Whitening rotates rows in place: the shape is preserved.

@@ -78,7 +78,7 @@ Matrix FitKMeans(const Matrix& rows, size_t k, int iterations,
   return centers;
 }
 
-std::shared_ptr<Transformer<Matrix, Matrix>> KMeansEstimator::Fit(
+Fitted<Transformer<Matrix, Matrix>> KMeansEstimator::Fit(
     const DistDataset<Matrix>& data, ExecContext* ctx) const {
   size_t dim = 0;
   size_t total = 0;
@@ -105,8 +105,7 @@ std::shared_ptr<Transformer<Matrix, Matrix>> KMeansEstimator::Fit(
   cost.bytes = iterations_ * 8.0 * total * dim / std::max(1, w);
   cost.network = iterations_ * 8.0 * k_ * dim;
   cost.rounds = 2.0 * iterations_;
-  ctx->ReportActualCost(cost);
-  return std::make_shared<KMeansModel>(std::move(centers));
+  return {std::make_shared<KMeansModel>(std::move(centers)), cost};
 }
 
 CostProfile KMeansEstimator::EstimateCost(const DataStats& in,

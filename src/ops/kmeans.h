@@ -26,7 +26,7 @@ class KMeansEstimator : public Estimator<Matrix, Matrix> {
            ",seed=" + std::to_string(seed_);
   }
 
-  std::shared_ptr<Transformer<Matrix, Matrix>> Fit(
+  Fitted<Transformer<Matrix, Matrix>> Fit(
       const DistDataset<Matrix>& data, ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;

@@ -93,7 +93,7 @@ std::string PcaEstimator::Name() const {
   return "PCA." + name;
 }
 
-std::shared_ptr<Transformer<Matrix, Matrix>> PcaEstimator::Fit(
+Fitted<Transformer<Matrix, Matrix>> PcaEstimator::Fit(
     const DistDataset<Matrix>& data, ExecContext* ctx) const {
   // Stack all descriptor rows.
   size_t dim = 0;
@@ -132,12 +132,11 @@ std::shared_ptr<Transformer<Matrix, Matrix>> PcaEstimator::Fit(
     components = svd.v;
   }
 
-  ctx->ReportActualCost(pca_costs::Cost(algorithm_, placement_,
-                                        static_cast<double>(total_rows),
-                                        static_cast<double>(dim),
-                                        static_cast<double>(k),
-                                        ctx->resources().num_nodes));
-  return std::make_shared<PcaModel>(std::move(mean), std::move(components));
+  return {std::make_shared<PcaModel>(std::move(mean), std::move(components)),
+          pca_costs::Cost(algorithm_, placement_,
+                          static_cast<double>(total_rows),
+                          static_cast<double>(dim), static_cast<double>(k),
+                          ctx->resources().num_nodes)};
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #ifndef KEYSTONE_OPS_PCA_H_
 #define KEYSTONE_OPS_PCA_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,14 +61,20 @@ class PcaEstimator : public Estimator<Matrix, Matrix> {
     return "k=" + std::to_string(k_) + ",seed=" + std::to_string(seed_);
   }
 
-  std::shared_ptr<Transformer<Matrix, Matrix>> Fit(
+  Fitted<Transformer<Matrix, Matrix>> Fit(
       const DistDataset<Matrix>& data, ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
 
+  /// Fit keeps min(k, d) components, so the model is at most as wide as
+  /// its input rows; k stands in while the input width is unknown.
   ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    return ValueShape::MatrixOf(data_in.d0, static_cast<int64_t>(k_));
+    const int64_t k = static_cast<int64_t>(k_);
+    return ValueShape::MatrixOf(data_in.d0,
+                                data_in.d1 == ValueShape::kUnknownDim
+                                    ? k
+                                    : std::min(k, data_in.d1));
   }
   EffectClass Effect() const override {
     return EffectClass::kSeededDeterministic;

@@ -3,23 +3,10 @@
 #include <algorithm>
 #include <cctype>
 
+#include "src/common/hash.h"
 #include "src/common/string_util.h"
 
 namespace keystone {
-
-namespace {
-
-/// FNV-1a hash for the hashing featurizer.
-uint64_t HashToken(const std::string& token) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : token) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string Trim::Apply(const std::string& doc) const {
   return TrimWhitespace(doc);
@@ -53,7 +40,8 @@ SparseVector HashingTermFrequency::Apply(const TokenSeq& tokens) const {
   SparseVector v;
   v.dim = dim_;
   for (const auto& token : tokens) {
-    v.Push(static_cast<uint32_t>(HashToken(token) % dim_), 1.0);
+    const uint64_t h = Fnv1a(kFnvHistoricalOffsetBasis, token);
+    v.Push(static_cast<uint32_t>(h % dim_), 1.0);
   }
   v.SortAndMerge();
   if (weighting_ == Weighting::kBinary) {
@@ -100,7 +88,7 @@ CostProfile VocabularyModel::EstimateCost(const DataStats& in,
   return cost;
 }
 
-std::shared_ptr<Transformer<TokenSeq, SparseVector>> CommonSparseFeatures::Fit(
+Fitted<Transformer<TokenSeq, SparseVector>> CommonSparseFeatures::Fit(
     const DistDataset<TokenSeq>& data, ExecContext* ctx) const {
   (void)ctx;
   std::unordered_map<std::string, uint64_t> counts;
@@ -124,8 +112,9 @@ std::shared_ptr<Transformer<TokenSeq, SparseVector>> CommonSparseFeatures::Fit(
   for (size_t i = 0; i < keep; ++i) vocabulary.push_back(terms[i].first);
   // The model's output dimension is the configured width so that sample
   // fits report the same feature dimensionality as full fits.
-  return std::make_shared<VocabularyModel>(std::move(vocabulary),
-                                           max_features_, binary_);
+  return {std::make_shared<VocabularyModel>(std::move(vocabulary),
+                                            max_features_, binary_),
+          std::nullopt};
 }
 
 CostProfile CommonSparseFeatures::EstimateCost(const DataStats& in,

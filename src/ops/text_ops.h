@@ -115,7 +115,7 @@ class CommonSparseFeatures : public Estimator<TokenSeq, SparseVector> {
     return std::to_string(max_features_) + (binary_ ? ",binary" : ",count");
   }
 
-  std::shared_ptr<Transformer<TokenSeq, SparseVector>> Fit(
+  Fitted<Transformer<TokenSeq, SparseVector>> Fit(
       const DistDataset<TokenSeq>& data, ExecContext* ctx) const override;
 
   /// The fitted VocabularyModel always emits vectors in a max_features-wide

@@ -3,35 +3,11 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 
 namespace keystone {
 namespace faults {
-
-namespace {
-
-/// FNV-1a over the fingerprint: a stable, platform-independent string hash
-/// (std::hash is implementation-defined and would break replay across
-/// standard libraries).
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// SplitMix64 finalizer: decorrelates the combined key before it seeds the
-/// per-draw generator.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double RetryPolicy::BackoffSeconds(int failed_attempt) const {
   KS_CHECK_GE(failed_attempt, 0);
@@ -46,10 +22,10 @@ FaultDraw FaultPlan::DrawFor(int node_id, const std::string& fingerprint,
   if (!Enabled()) return draw;
   // One private generator per (seed, node, attempt): draws are a pure
   // function of stable identity, independent of scheduling order.
-  uint64_t key = Mix(config_.seed);
-  key = Mix(key ^ Fnv1a(fingerprint));
-  key = Mix(key ^ static_cast<uint64_t>(node_id));
-  key = Mix(key ^ static_cast<uint64_t>(attempt));
+  uint64_t key = SplitMix64(config_.seed);
+  key = SplitMix64(key ^ Fnv1a(kFnvHistoricalOffsetBasis, fingerprint));
+  key = SplitMix64(key ^ static_cast<uint64_t>(node_id));
+  key = SplitMix64(key ^ static_cast<uint64_t>(attempt));
   Rng rng(key);
 
   // A single uniform decides the failure kind so the two rates partition

@@ -35,16 +35,16 @@ Matrix ExactLeastSquares(const Matrix& a, const Matrix& b, double lambda) {
 
 // --- LocalExactSolver -------------------------------------------------------
 
-std::shared_ptr<Transformer<DenseVec, DenseVec>> LocalExactSolver::Fit(
+Fitted<Transformer<DenseVec, DenseVec>> LocalExactSolver::Fit(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
+  (void)ctx;
   const Matrix a = AssembleDense(data);
   const Matrix b = AssembleLabels(labels);
   KS_CHECK_EQ(a.rows(), b.rows());
   Matrix x = ExactLeastSquares(a, b, config_.l2_reg);
-  ctx->ReportActualCost(solver_costs::LocalExact(a.rows(), a.cols(), b.cols(),
-                                                 a.cols()));
-  return std::make_shared<LinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::LocalExact(a.rows(), a.cols(), b.cols(), a.cols())};
 }
 
 CostProfile LocalExactSolver::EstimateCost(const DataStats& in,
@@ -63,7 +63,7 @@ double LocalExactSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- DistributedExactSolver -------------------------------------------------
 
-std::shared_ptr<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
+Fitted<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   // Per-partition partial Gram + A^T B, then aggregate — the real kernel
@@ -96,9 +96,9 @@ std::shared_ptr<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
   Matrix x = SolveSpd(gram, atb);
 
   const size_t n = data.NumRecords();
-  ctx->ReportActualCost(solver_costs::DistributedExact(
-      n, d, k, d, ctx->resources().num_nodes));
-  return std::make_shared<LinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::DistributedExact(n, d, k, d,
+                                         ctx->resources().num_nodes)};
 }
 
 CostProfile DistributedExactSolver::EstimateCost(const DataStats& in,
@@ -115,7 +115,7 @@ double DistributedExactSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- DenseLbfgsSolver -------------------------------------------------------
 
-std::shared_ptr<Transformer<DenseVec, DenseVec>> DenseLbfgsSolver::Fit(
+Fitted<Transformer<DenseVec, DenseVec>> DenseLbfgsSolver::Fit(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   const Matrix a = AssembleDense(data);
@@ -141,10 +141,9 @@ std::shared_ptr<Transformer<DenseVec, DenseVec>> DenseLbfgsSolver::Fit(
 
   Matrix x(d, k);
   std::copy(result.x.begin(), result.x.end(), x.data());
-  ctx->ReportActualCost(solver_costs::Lbfgs(a.rows(), d, k, d,
-                                            result.gradient_evals,
-                                            ctx->resources().num_nodes));
-  return std::make_shared<LinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::Lbfgs(a.rows(), d, k, d, result.gradient_evals,
+                              ctx->resources().num_nodes)};
 }
 
 CostProfile DenseLbfgsSolver::EstimateCost(const DataStats& in,
@@ -161,7 +160,7 @@ double DenseLbfgsSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- DenseBlockSolver -------------------------------------------------------
 
-std::shared_ptr<Transformer<DenseVec, DenseVec>> DenseBlockSolver::Fit(
+Fitted<Transformer<DenseVec, DenseVec>> DenseBlockSolver::Fit(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   const Matrix a = AssembleDense(data);
@@ -190,10 +189,9 @@ std::shared_ptr<Transformer<DenseVec, DenseVec>> DenseBlockSolver::Fit(
       }
     }
   }
-  ctx->ReportActualCost(solver_costs::Block(n, d, k, d, block,
-                                            config_.block_epochs,
-                                            ctx->resources().num_nodes));
-  return std::make_shared<LinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::Block(n, d, k, d, block, config_.block_epochs,
+                              ctx->resources().num_nodes)};
 }
 
 CostProfile DenseBlockSolver::EstimateCost(const DataStats& in,

@@ -55,7 +55,7 @@ class LocalExactSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<DenseVec, DenseVec>> Fit(
+  Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
 
@@ -88,7 +88,7 @@ class DistributedExactSolver
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<DenseVec, DenseVec>> Fit(
+  Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
 
@@ -118,7 +118,7 @@ class DenseLbfgsSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<DenseVec, DenseVec>> Fit(
+  Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
 
@@ -151,7 +151,7 @@ class DenseBlockSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<DenseVec, DenseVec>> Fit(
+  Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
 
@@ -187,7 +187,7 @@ class SparseLbfgsSolver
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<SparseVector, DenseVec>> Fit(
+  Fitted<Transformer<SparseVector, DenseVec>> Fit(
       const DistDataset<SparseVector>& data,
       const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
 
@@ -223,7 +223,7 @@ class SparseExactSolver
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<SparseVector, DenseVec>> Fit(
+  Fitted<Transformer<SparseVector, DenseVec>> Fit(
       const DistDataset<SparseVector>& data,
       const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
 
@@ -256,7 +256,7 @@ class SparseBlockSolver
     return SolverParamSignature(config_);
   }
 
-  std::shared_ptr<Transformer<SparseVector, DenseVec>> Fit(
+  Fitted<Transformer<SparseVector, DenseVec>> Fit(
       const DistDataset<SparseVector>& data,
       const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
 

@@ -36,7 +36,7 @@ size_t SparseFeatureDim(const DistDataset<SparseVector>& data) {
 
 // --- SparseLbfgsSolver ------------------------------------------------------
 
-std::shared_ptr<Transformer<SparseVector, DenseVec>> SparseLbfgsSolver::Fit(
+Fitted<Transformer<SparseVector, DenseVec>> SparseLbfgsSolver::Fit(
     const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   const size_t d = SparseFeatureDim(data);
@@ -65,10 +65,9 @@ std::shared_ptr<Transformer<SparseVector, DenseVec>> SparseLbfgsSolver::Fit(
   std::copy(result.x.begin(), result.x.end(), x.data());
   const double avg_nnz =
       static_cast<double>(a.nnz()) / std::max<size_t>(1, a.rows());
-  ctx->ReportActualCost(solver_costs::Lbfgs(a.rows(), d, k, avg_nnz,
-                                            result.gradient_evals,
-                                            ctx->resources().num_nodes));
-  return std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::Lbfgs(a.rows(), d, k, avg_nnz, result.gradient_evals,
+                              ctx->resources().num_nodes)};
 }
 
 CostProfile SparseLbfgsSolver::EstimateCost(const DataStats& in,
@@ -85,9 +84,10 @@ double SparseLbfgsSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- SparseExactSolver ------------------------------------------------------
 
-std::shared_ptr<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
+Fitted<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
     const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
+  (void)ctx;
   const size_t d = SparseFeatureDim(data);
   KS_CHECK_LE(d, kMaxDenseGramDim)
       << "SparseExactSolver: dense " << d << "x" << d
@@ -115,9 +115,8 @@ std::shared_ptr<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
 
   const double avg_nnz =
       static_cast<double>(a.nnz()) / std::max<size_t>(1, a.rows());
-  ctx->ReportActualCost(
-      solver_costs::LocalExact(a.rows(), d, k, avg_nnz));
-  return std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::LocalExact(a.rows(), d, k, avg_nnz)};
 }
 
 CostProfile SparseExactSolver::EstimateCost(const DataStats& in,
@@ -144,7 +143,7 @@ double SparseExactSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- SparseBlockSolver ------------------------------------------------------
 
-std::shared_ptr<Transformer<SparseVector, DenseVec>> SparseBlockSolver::Fit(
+Fitted<Transformer<SparseVector, DenseVec>> SparseBlockSolver::Fit(
     const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   const size_t d = SparseFeatureDim(data);
@@ -183,10 +182,9 @@ std::shared_ptr<Transformer<SparseVector, DenseVec>> SparseBlockSolver::Fit(
   }
   const double avg_nnz =
       static_cast<double>(a.nnz()) / std::max<size_t>(1, n);
-  ctx->ReportActualCost(solver_costs::Block(n, d, k, avg_nnz, block,
-                                            config_.block_epochs,
-                                            ctx->resources().num_nodes));
-  return std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{});
+  return {std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{}),
+          solver_costs::Block(n, d, k, avg_nnz, block, config_.block_epochs,
+                              ctx->resources().num_nodes)};
 }
 
 CostProfile SparseBlockSolver::EstimateCost(const DataStats& in,

@@ -626,5 +626,24 @@ TEST(WorkloadLintTest, AllShippedPipelinesAreClean) {
   ExpectLintClean("youtube", BuildYoutubePipeline(youtube, dense_solver));
 }
 
+TEST(WorkloadLintTest, ShippedImageNetIsServableWithFittedModels) {
+  // Regression: PCA fits min(k, d) components, but its static output shape
+  // declared k columns. The shipped config's pca_k = 8 exceeds the LCS
+  // branch's 2 x channels = 2 width, so the fitted models failed
+  // shape.model_input at Apply(GMM) and Apply(LinearSolver) — the check
+  // ServablePipeline runs before serving.
+  using namespace workloads;
+  LinearSolverConfig dense_solver;
+  dense_solver.num_classes = 3;
+  const ImageCorpus images = TexturedImages(8, 4, 32, 1, 3, 0.1, 7);
+  auto pipe = BuildImageNetPipeline(images, 4, 8, 4, dense_solver);
+  PipelineExecutor executor(ClusterResourceDescriptor::R3_4xlarge(4),
+                            OptimizationConfig::Full());
+  auto fitted = executor.Fit(pipe);
+  const ValidationReport report = analysis::ValidateServablePlan(
+      fitted.impl().plan(), &fitted.impl().models());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 }  // namespace
 }  // namespace keystone

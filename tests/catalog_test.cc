@@ -448,7 +448,7 @@ class VecMeanCenterer
     : public Estimator<std::vector<double>, std::vector<double>> {
  public:
   std::string Name() const override { return "VecMeanCenterer"; }
-  std::shared_ptr<Transformer<std::vector<double>, std::vector<double>>> Fit(
+  Fitted<Transformer<std::vector<double>, std::vector<double>>> Fit(
       const DistDataset<std::vector<double>>& data,
       ExecContext* ctx) const override {
     (void)ctx;
@@ -462,7 +462,7 @@ class VecMeanCenterer
       }
     }
     for (double& m : mean) m /= count > 0 ? count : 1;
-    return std::make_shared<VecSubtract>(std::move(mean));
+    return {std::make_shared<VecSubtract>(std::move(mean)), std::nullopt};
   }
 };
 

@@ -3,17 +3,28 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/cache/artifact_catalog.h"
+#include "src/common/hash.h"
 #include "src/common/mutex.h"
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/core/physical_plan.h"
+#include "src/core/pipeline.h"
+#include "src/obs/telemetry.h"
+#include "src/ops/convolution.h"
+#include "src/ops/text_ops.h"
+#include "src/sim/faults/fault_plan.h"
+#include "tests/test_operators.h"
 
 namespace keystone {
 namespace {
@@ -100,6 +111,98 @@ TEST(RngTest, ForkProducesIndependentStream) {
   b.Fork();
   EXPECT_EQ(a.NextU64(), b.NextU64());
   EXPECT_NE(a.NextU64(), forked.NextU64());
+}
+
+TEST(HashTest, Fnv1aMatchesReferenceVectors) {
+  EXPECT_EQ(Fnv1a(kFnvOffsetBasis, ""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a(kFnvOffsetBasis, "a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a(kFnvOffsetBasis, "foobar"), 0x85944171f73967e8ULL);
+  // Incremental folding equals hashing the concatenation.
+  EXPECT_EQ(Fnv1a(Fnv1a(kFnvOffsetBasis, "foo"), "bar"),
+            Fnv1a(kFnvOffsetBasis, "foobar"));
+  // A word folds as its bytes, least significant first.
+  const char le_bytes[] = {'\xef', '\xcd', '\xab', '\x89',
+                           '\x67', '\x45', '\x23', '\x01'};
+  EXPECT_EQ(Fnv1aWord(kFnvOffsetBasis, 0x0123456789abcdefULL),
+            Fnv1a(kFnvOffsetBasis, std::string_view(le_bytes, 8)));
+}
+
+TEST(HashTest, SplitMix64MatchesReferenceSequence) {
+  // The reference generator seeded with 0, one state increment per output.
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(kSplitMix64Gamma), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(SplitMix64(2 * kSplitMix64Gamma), 0x06c45d188009454fULL);
+}
+
+// Every caller of the shared hash keeps the exact values it produced with
+// its own copy: lineage fingerprints and catalog object names are
+// persisted, featurizer indices and the Convolver signature shape models
+// and fingerprints, and fault draws and trace sampling must replay.
+TEST(HashTest, EveryCallerKeepsItsPinnedHash) {
+  // Lineage fingerprint (standard basis).
+  auto train = DistDataset<double>::Partitioned({1, 2, 3, 4}, 2);
+  auto pipe = PipelineInput<double>()
+                  .AndThen(std::make_shared<testing_ops::Scale>(2.0))
+                  .AndThen(std::make_shared<testing_ops::MeanCenterer>(),
+                           train);
+  const PhysicalPlan plan = LowerToPhysical(
+      std::make_shared<PipelineGraph>(*pipe.graph()), pipe.source(),
+      pipe.sink(), OptimizationConfig::Full(),
+      ClusterResourceDescriptor::R3_4xlarge(4));
+  bool found = false;
+  for (const PlannedNode& pn : plan.nodes) {
+    if (pn.kind != NodeKind::kEstimator) continue;
+    EXPECT_EQ(pn.lineage_fingerprint,
+              "Estimator|MeanCenterer(1)|4#79acd735ed7a940d");
+    found = true;
+  }
+  EXPECT_TRUE(found);
+
+  // Catalog object name (standard basis).
+  const std::string root = ::testing::TempDir() + "/hash_pin_catalog";
+  std::filesystem::remove_all(root);
+  cache::CatalogConfig config;
+  config.root = root;
+  cache::ArtifactCatalog catalog{config};
+  auto rows = std::make_shared<DistDataset<std::vector<double>>>(
+      std::vector<std::vector<std::vector<double>>>{{{1, 2}}});
+  ASSERT_TRUE(catalog.Put("pinned-key", rows, 16.0, 1, 1.0));
+  EXPECT_TRUE(
+      std::filesystem::exists(root + "/objects/6228bafaee84a69d.art"));
+  std::filesystem::remove_all(root);
+
+  // Hashing featurizer (historical basis).
+  const SparseVector features =
+      HashingTermFrequency(1 << 20).Apply({"keystone"});
+  ASSERT_EQ(features.indices.size(), 1u);
+  EXPECT_EQ(features.indices[0], 977447u);
+
+  // Convolver weight digest (historical basis).
+  Rng bank_rng(5);
+  const Convolver conv(FilterBank::Random(2, 3, 1, &bank_rng),
+                       ConvolutionStrategy::kBlas);
+  EXPECT_EQ(conv.ParamSignature(), "2x3x1,fcb0177171ed52fd");
+
+  // Fault draw (historical basis + SplitMix64 + Rng).
+  faults::FaultInjectionConfig fault_config;
+  fault_config.seed = 7;
+  fault_config.task_failure_rate = 1.0;
+  const faults::FaultDraw draw = faults::FaultPlan(fault_config)
+                                     .DrawFor(3, "Transformer|Scale(2)|4", 0);
+  EXPECT_TRUE(draw.fails);
+  EXPECT_EQ(draw.fail_fraction, 0.86777754672271235);
+
+  // Trace sampling (historical basis + SplitMix64).
+  const obs::TraceSampler sampler(0.5, 7);
+  uint64_t sampled = 0;
+  for (uint64_t id = 0; id < 64; ++id) {
+    if (sampler.Sample("tenant-a", id)) sampled |= uint64_t{1} << id;
+  }
+  EXPECT_EQ(sampled, 0xa4fde660c321db93ULL);
+
+  // Rng seeding (SplitMix64).
+  Rng rng(42);
+  EXPECT_EQ(rng.NextU64(), 0x15780b2e0c2ec716ULL);
 }
 
 TEST(StringUtilTest, SplitBasic) {

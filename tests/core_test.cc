@@ -396,28 +396,5 @@ TEST(ExecContextTest, MakeRequestContextSharesEnvironmentNotLedger) {
   EXPECT_DOUBLE_EQ(ctx.ledger()->TotalSeconds(), 5.0);
 }
 
-TEST(ExecContextTest, BeginOperatorScopeDropsStaleActualCost) {
-  ExecContext ctx(TestCluster());
-  obs::MetricsRegistry metrics;
-  ctx.set_metrics(&metrics);
-
-  // Normal flow: scope, report, take; taking clears the report.
-  EXPECT_FALSE(ctx.BeginOperatorScope());
-  ctx.ReportActualCost(CostProfile(2e9, 0, 0, 0));
-  auto taken = ctx.TakeActualCost();
-  ASSERT_TRUE(taken.has_value());
-  EXPECT_DOUBLE_EQ(taken->flops, 2e9);
-  EXPECT_FALSE(ctx.TakeActualCost().has_value());
-
-  // Regression: a cost reported by one operator but never taken must not
-  // be attributed to the next operator.
-  ctx.ReportActualCost(CostProfile(5e9, 0, 0, 0));
-  EXPECT_TRUE(ctx.BeginOperatorScope());  // stale report dropped
-  EXPECT_FALSE(ctx.TakeActualCost().has_value());
-  EXPECT_FALSE(ctx.BeginOperatorScope());  // clean scope drops nothing
-  EXPECT_DOUBLE_EQ(metrics.GetCounter("exec.stale_actual_costs")->Value(),
-                   1.0);
-}
-
 }  // namespace
 }  // namespace keystone

@@ -27,8 +27,8 @@ namespace keystone {
 namespace {
 
 using testing_ops::MeanCenterer;
+using testing_ops::ReportingEstimator;
 using testing_ops::Scale;
-using testing_ops::SubtractValue;
 
 std::shared_ptr<DistDataset<double>> Doubles(std::vector<double> values,
                                              size_t parts = 2) {
@@ -38,35 +38,6 @@ std::shared_ptr<DistDataset<double>> Doubles(std::vector<double> values,
 ClusterResourceDescriptor TestCluster() {
   return ClusterResourceDescriptor::R3_4xlarge(4);
 }
-
-/// Estimator with a fixed a-priori cost model and a fixed kernel-reported
-/// actual cost, so predicted-vs-observed plumbing is fully controllable.
-class ReportingEstimator : public Estimator<double, double> {
- public:
-  ReportingEstimator(std::string name, CostProfile predicted,
-                     CostProfile observed)
-      : name_(std::move(name)), predicted_(predicted), observed_(observed) {}
-
-  std::string Name() const override { return name_; }
-
-  CostProfile EstimateCost(const DataStats& in, int workers) const override {
-    (void)in;
-    (void)workers;
-    return predicted_;
-  }
-
-  std::shared_ptr<Transformer<double, double>> Fit(
-      const DistDataset<double>& data, ExecContext* ctx) const override {
-    (void)data;
-    ctx->ReportActualCost(observed_);
-    return std::make_shared<SubtractValue>(0.0);
-  }
-
- private:
-  std::string name_;
-  CostProfile predicted_;
-  CostProfile observed_;
-};
 
 /// Very light structural validation: balanced braces/brackets outside of
 /// string literals, which catches truncated or mis-quoted trace output.

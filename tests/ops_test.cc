@@ -66,7 +66,7 @@ TEST(TextOpsTest, CommonSparseFeaturesKeepsTopTerms) {
   auto data = MakeDataset(std::move(docs), 2);
   CommonSparseFeatures est(2);
   auto ctx = MakeContext();
-  auto model = est.Fit(*data, &ctx);
+  auto model = est.Fit(*data, &ctx).model;
   auto* vocab = dynamic_cast<VocabularyModel*>(model.get());
   ASSERT_NE(vocab, nullptr);
   EXPECT_EQ(vocab->vocabulary_size(), 2u);
@@ -159,7 +159,7 @@ TEST(ImageOpsTest, ZcaWhitensCovarianceTowardIdentity) {
   auto data = MakeDataset(std::move(records), 4);
   auto ctx = MakeContext();
   ZcaWhitener whitener(1e-5);
-  auto model = whitener.Fit(*data, &ctx);
+  auto model = whitener.Fit(*data, &ctx).model;
 
   // Whiten everything and measure covariance.
   Matrix all(1000, 2);
@@ -262,7 +262,7 @@ TEST(PcaTest, ExactRecoversLowRankSubspace) {
   auto data = LowRankDescriptors(20, 10, 8, 3, 11);
   auto ctx = MakeContext();
   PcaEstimator pca(3, PcaAlgorithm::kExactSvd, PcaPlacement::kLocal);
-  auto model = pca.Fit(*data, &ctx);
+  auto model = pca.Fit(*data, &ctx).model;
   // Projecting and measuring retained variance: residual of projecting the
   // data onto the components should be ~0 for rank-3 data.
   auto* typed = dynamic_cast<PcaModel*>(model.get());
@@ -278,8 +278,8 @@ TEST(PcaTest, TruncatedMatchesExactProjection) {
   auto ctx = MakeContext();
   PcaEstimator exact(4, PcaAlgorithm::kExactSvd, PcaPlacement::kLocal);
   PcaEstimator tsvd(4, PcaAlgorithm::kTruncatedSvd, PcaPlacement::kLocal);
-  auto exact_model = exact.Fit(*data, &ctx);
-  auto tsvd_model = tsvd.Fit(*data, &ctx);
+  auto exact_model = exact.Fit(*data, &ctx).model;
+  auto tsvd_model = tsvd.Fit(*data, &ctx).model;
   // Compare projections of a fresh record (subspace match up to rotation:
   // compare projection residual norms instead of raw coordinates).
   const Matrix probe = DistDataset<Matrix>::Cast(data)->partitions()[0][0];
@@ -433,7 +433,7 @@ TEST(FeaturesTest, StandardScaler) {
   std::vector<std::vector<double>> recs = {{0.0, 10.0}, {2.0, 20.0}};
   auto data = MakeDataset(std::move(recs), 1);
   auto ctx = MakeContext();
-  auto model = StandardScaler().Fit(*data, &ctx);
+  auto model = StandardScaler().Fit(*data, &ctx).model;
   const auto out = model->Apply({1.0, 15.0});
   EXPECT_NEAR(out[0], 0.0, 1e-3);
   EXPECT_NEAR(out[1], 0.0, 1e-3);

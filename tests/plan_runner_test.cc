@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/executor.h"
@@ -18,7 +20,7 @@ namespace keystone {
 namespace {
 
 using testing_ops::AddConst;
-using testing_ops::MeanCenterer;
+using testing_ops::ReportingEstimator;
 using testing_ops::Scale;
 
 std::shared_ptr<DistDataset<double>> Doubles(std::vector<double> values,
@@ -30,17 +32,24 @@ ClusterResourceDescriptor TestCluster() {
   return ClusterResourceDescriptor::R3_4xlarge(4);
 }
 
+/// The cost branch `i`'s estimator returns from every fit. Distinct per
+/// branch, so a cost charged to another branch's node is visible.
+CostProfile BranchCost(int i) { return CostProfile(1e7 * (i + 1), 1e6 * i, 0); }
+
 /// A Gather-heavy pipeline: `branches` independent featurization chains,
-/// each ending in an estimator, zipped into one output vector. Exercises
-/// DAG-level branch parallelism on both the train and runtime paths.
+/// each ending in an estimator named "Branch<i>" that returns
+/// BranchCost(i), zipped into one output vector. Exercises DAG-level
+/// branch parallelism on both the train and runtime paths.
 Pipeline<double, std::vector<double>> BranchyPipeline(int branches) {
   auto train = Doubles({1, 2, 3, 4, 5, 6, 7, 8}, 4);
   auto base = PipelineInput<double>();
   std::vector<Pipeline<double, double>> chains;
   for (int i = 0; i < branches; ++i) {
+    auto estimator = std::make_shared<ReportingEstimator>(
+        "Branch" + std::to_string(i), CostProfile(1e6, 1e6, 0), BranchCost(i));
     chains.push_back(base.AndThen(std::make_shared<Scale>(i + 1.0))
                          .AndThen(std::make_shared<AddConst>(i * 0.5))
-                         .AndThen(std::make_shared<MeanCenterer>(), train));
+                         .AndThen(estimator, train));
   }
   return Pipeline<double, double>::Gather(chains);
 }
@@ -51,6 +60,9 @@ struct FitObservation {
   double apply_ledger_seconds = 0.0;
   std::string report_text;
   std::vector<std::string> span_names;
+  /// (node name, observed cost) of every estimator span, in trace order.
+  std::vector<std::pair<std::string, std::optional<CostProfile>>>
+      estimator_observed;
   std::string timeline_json;
 };
 
@@ -69,7 +81,12 @@ FitObservation FitAndObserve(const OptimizationConfig& config) {
   obs.apply_ledger_seconds =
       executor.context()->ledger()->TotalSeconds() - obs.fit_ledger_seconds;
   obs.report_text = report.ToString();
-  for (const auto& span : recorder.Spans()) obs.span_names.push_back(span.name);
+  for (const auto& span : recorder.Spans()) {
+    obs.span_names.push_back(span.name);
+    if (span.kind == NodeKindName(NodeKind::kEstimator)) {
+      obs.estimator_observed.emplace_back(span.name, span.observed);
+    }
+  }
   obs.timeline_json = timeline.ToJson();
   return obs;
 }
@@ -99,6 +116,26 @@ TEST(PlanRunnerTest, SerialAndParallelExecutionAgree) {
   EXPECT_EQ(off.apply_ledger_seconds, on.apply_ledger_seconds);
   EXPECT_EQ(off.report_text, on.report_text);
   EXPECT_EQ(off.span_names, on.span_names);
+  // Each branch's model centers on its own training data: branch i maps
+  // the records 1..8 to x * (i + 1) + i / 2, so input 2 comes out at
+  // (2 - 4.5) * (i + 1).
+  ASSERT_EQ(on.output.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_DOUBLE_EQ(on.output[i], -2.5 * (i + 1)) << "branch " << i;
+  }
+  // Each branch's fit returns its own cost, and in both schedules every
+  // estimator span observed exactly that cost (profile-small,
+  // profile-large and train spans for all six branches): concurrent
+  // branches never swap costs.
+  for (const FitObservation* run : {&off, &on}) {
+    EXPECT_EQ(run->estimator_observed.size(), 3u * 6u);
+    for (const auto& [name, observed] : run->estimator_observed) {
+      ASSERT_TRUE(observed.has_value()) << name;
+      const CostProfile want = BranchCost(std::stoi(name.substr(6)));
+      EXPECT_EQ(observed->flops, want.flops) << name;
+      EXPECT_EQ(observed->bytes, want.bytes) << name;
+    }
+  }
 }
 
 TEST(PlanRunnerTest, ResourceTimelineBitIdenticalAcrossSchedulers) {
@@ -195,23 +232,6 @@ TEST(FingerprintTest, StoredProfilesSurviveNodeRename) {
   executor.Fit(pipe, &report);
   EXPECT_TRUE(report.profiles_from_store);
   EXPECT_EQ(report.optimize_seconds, 0.0);
-}
-
-TEST(ExecContextTest, ActualCostIsPerThread) {
-  ExecContext ctx(TestCluster());
-  CostProfile other;
-  other.flops = 2.0;
-  std::thread worker([&] { ctx.ReportActualCost(other); });
-  worker.join();
-  // The worker thread's report is invisible to this thread...
-  EXPECT_FALSE(ctx.TakeActualCost().has_value());
-  // ...and a stale report on this thread is cleared by the next scope.
-  CostProfile mine;
-  mine.flops = 1.0;
-  ctx.ReportActualCost(mine);
-  EXPECT_TRUE(ctx.BeginOperatorScope());
-  EXPECT_FALSE(ctx.TakeActualCost().has_value());
-  EXPECT_FALSE(ctx.BeginOperatorScope());
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST_P(SolverEquivalenceTest, AllDenseSolversAgreeOnNoiselessData) {
   ExecContext ctx(ClusterResourceDescriptor::R3_4xlarge(4));
 
   auto weights = [&](auto&& solver) {
-    auto model = solver.Fit(*data, *label_ds, &ctx);
+    auto model = solver.Fit(*data, *label_ds, &ctx).model;
     return dynamic_cast<LinearMapModel*>(model.get())->weights();
   };
   EXPECT_LT((weights(LocalExactSolver(config)) - x_true).MaxAbs(), 1e-4);

@@ -51,9 +51,8 @@ double MaxWeightError(const Matrix& estimated, const Matrix& truth) {
   return (estimated - truth).MaxAbs();
 }
 
-const Matrix& ModelWeights(const std::shared_ptr<Transformer<DenseVec,
-                                                             DenseVec>>& t) {
-  auto* model = dynamic_cast<LinearMapModel*>(t.get());
+const Matrix& ModelWeights(const Fitted<Transformer<DenseVec, DenseVec>>& t) {
+  auto* model = dynamic_cast<LinearMapModel*>(t.model.get());
   EXPECT_NE(model, nullptr);
   return model->weights();
 }
@@ -130,7 +129,7 @@ TEST(DenseSolversTest, ExactHandlesUnderdeterminedSampleFits) {
   config.num_classes = 2;
   auto ctx = MakeContext();
   const LocalExactSolver local(config);
-  auto model = local.Fit(*problem.data, *problem.labels, &ctx);
+  auto model = local.Fit(*problem.data, *problem.labels, &ctx).model;
   // Min-norm solution still interpolates the training data.
   const auto rows = problem.data->Collect();
   const auto labels = problem.labels->Collect();
@@ -146,8 +145,7 @@ TEST(DenseSolversTest, LbfgsReportsActualIterations) {
   config.num_classes = 2;
   auto ctx = MakeContext();
   const DenseLbfgsSolver lbfgs(config);
-  lbfgs.Fit(*problem.data, *problem.labels, &ctx);
-  const auto cost = ctx.TakeActualCost();
+  const auto cost = lbfgs.Fit(*problem.data, *problem.labels, &ctx).cost;
   ASSERT_TRUE(cost.has_value());
   EXPECT_GT(cost->flops, 0.0);
   EXPECT_GT(cost->rounds, 0.0);
@@ -195,7 +193,7 @@ TEST(SparseSolversTest, LbfgsFitsSparseData) {
   config.lbfgs_iterations = 300;
   auto ctx = MakeContext();
   const SparseLbfgsSolver solver(config);
-  auto model = solver.Fit(*problem.data, *problem.labels, &ctx);
+  auto model = solver.Fit(*problem.data, *problem.labels, &ctx).model;
   auto* typed = dynamic_cast<SparseLinearMapModel*>(model.get());
   ASSERT_NE(typed, nullptr);
   EXPECT_LT(MaxWeightError(typed->weights(), problem.x_true), 5e-3);
@@ -212,9 +210,9 @@ TEST(SparseSolversTest, ExactAndBlockAgreeWithLbfgs) {
   auto ctx = MakeContext();
 
   const SparseExactSolver exact(config);
-  auto exact_model = exact.Fit(*problem.data, *problem.labels, &ctx);
+  auto exact_model = exact.Fit(*problem.data, *problem.labels, &ctx).model;
   const SparseBlockSolver block(config);
-  auto block_model = block.Fit(*problem.data, *problem.labels, &ctx);
+  auto block_model = block.Fit(*problem.data, *problem.labels, &ctx).model;
 
   auto* exact_typed = dynamic_cast<SparseLinearMapModel*>(exact_model.get());
   auto* block_typed = dynamic_cast<SparseLinearMapModel*>(block_model.get());
@@ -242,7 +240,7 @@ TEST(LogisticTest, SeparatesLinearlySeparableData) {
   config.l2_reg = 1e-4;
   auto ctx = MakeContext();
   const DenseLbfgsSolver solver(config);
-  auto model = solver.Fit(*data, *label_ds, &ctx);
+  auto model = solver.Fit(*data, *label_ds, &ctx).model;
 
   int correct = 0;
   for (const auto& part : data->partitions()) {

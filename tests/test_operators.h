@@ -60,7 +60,7 @@ class MeanCenterer : public Estimator<double, double> {
   }
   int Weight() const override { return weight_; }
 
-  std::shared_ptr<Transformer<double, double>> Fit(
+  Fitted<Transformer<double, double>> Fit(
       const DistDataset<double>& data, ExecContext* ctx) const override {
     (void)ctx;
     double sum = 0.0;
@@ -71,7 +71,8 @@ class MeanCenterer : public Estimator<double, double> {
         ++count;
       }
     }
-    return std::make_shared<SubtractValue>(count > 0 ? sum / count : 0.0);
+    return {std::make_shared<SubtractValue>(count > 0 ? sum / count : 0.0),
+            std::nullopt};
   }
 
  private:
@@ -83,7 +84,7 @@ class OffsetEstimator : public LabelEstimator<double, double, double> {
  public:
   std::string Name() const override { return "OffsetEstimator"; }
 
-  std::shared_ptr<Transformer<double, double>> Fit(
+  Fitted<Transformer<double, double>> Fit(
       const DistDataset<double>& data, const DistDataset<double>& labels,
       ExecContext* ctx) const override {
     (void)ctx;
@@ -98,8 +99,38 @@ class OffsetEstimator : public LabelEstimator<double, double, double> {
       }
       return count > 0 ? sum / count : 0.0;
     };
-    return std::make_shared<AddConst>(mean(labels) - mean(data));
+    return {std::make_shared<AddConst>(mean(labels) - mean(data)),
+            std::nullopt};
   }
+};
+
+/// Estimator with a fixed a-priori cost model and a fixed kernel-reported
+/// actual cost, so predicted-vs-observed plumbing is fully controllable.
+/// Its model still depends on its data: it centers records like
+/// MeanCenterer's.
+class ReportingEstimator : public Estimator<double, double> {
+ public:
+  ReportingEstimator(std::string name, CostProfile predicted,
+                     CostProfile observed)
+      : name_(std::move(name)), predicted_(predicted), observed_(observed) {}
+
+  std::string Name() const override { return name_; }
+
+  CostProfile EstimateCost(const DataStats& in, int workers) const override {
+    (void)in;
+    (void)workers;
+    return predicted_;
+  }
+
+  Fitted<Transformer<double, double>> Fit(
+      const DistDataset<double>& data, ExecContext* ctx) const override {
+    return {MeanCenterer().Fit(data, ctx).model, observed_};
+  }
+
+ private:
+  std::string name_;
+  CostProfile predicted_;
+  CostProfile observed_;
 };
 
 /// Dense map with declared fixed input/output dimensions, for the dataflow

@@ -4,11 +4,12 @@
 // PhysicalPlan IR (post-CSE graph plus the materialization plan), then the
 // dataflow engine (shape/cardinality/effect inference with the shape.* /
 // card.* / memory.* / effect.* rules), then the servable (apply-masked)
-// view of the compiled plan, and finally the cross-run-reuse view: the
-// workload recompiled warm against a catalog a fit just populated, held to
-// the reuse.* rules — so a change that breaks an invariant, including one
-// that would only abort at serve time or on a reuse-rewritten plan, is
-// caught here as well as at fit time.
+// view of the compiled plan, and finally a real fit: its servable view is
+// re-checked against the fitted models (the check ServablePipeline runs
+// before serving), and the workload is recompiled warm against the catalog
+// the fit populated, held to the reuse.* rules — so a change that breaks an
+// invariant, including one that would only abort at serve time or on a
+// reuse-rewritten plan, is caught here as well as at fit time.
 //
 // Diagnostics are deduplicated (the stages re-derive overlapping findings)
 // and sorted errors-first. A checked-in suppression baseline grandfathers
@@ -127,14 +128,19 @@ int Run(int argc, char** argv) {
       // terminals, no unbound sources inside the runtime mask).
       report.Merge(analysis::ValidateServablePlan(*plan));
 
-      // Stage 5: the cross-run-reuse view — fit once against a fresh
-      // memory-only catalog, recompile warm so the ReusePass rewrites the
-      // matched prefix into catalog reads, and hold the rewritten plan to
-      // the reuse.* rules (structurally and against the live catalog).
+      // Stage 5: fit once against a fresh memory-only catalog. The fitted
+      // models must satisfy the servable view's model-input shapes — the
+      // check ServablePipeline runs, which stage 4 cannot make without
+      // models. Then the cross-run-reuse view: recompile warm so the
+      // ReusePass rewrites the matched prefix into catalog reads, and hold
+      // the rewritten plan to the reuse.* rules (structurally and against
+      // the live catalog).
       cache::ArtifactCatalog catalog{cache::CatalogConfig{}};
       executor.context()->set_artifact_catalog(&catalog);
-      executor.FitGraph(*target.graph, target.placeholder, target.sink,
-                        nullptr);
+      const auto fitted = executor.FitGraph(*target.graph, target.placeholder,
+                                            target.sink, nullptr);
+      report.Merge(
+          analysis::ValidateServablePlan(fitted->plan(), &fitted->models()));
       const auto warm_plan =
           executor.Compile(*target.graph, target.placeholder, target.sink);
       report.Merge(analysis::ValidateReuseMarkers(*warm_plan));
