@@ -6,13 +6,13 @@ Usage:
 
 Exits non-zero when the candidate's wall time regresses by more than
 --threshold (fraction; default 10%) relative to the baseline. Virtual
-cluster time is also compared: it is deterministic for a fixed workload,
-so any drift beyond --virtual-threshold (default 1%) means the work the
-bench performs actually changed, and the comparison says so — a wall-time
-delta with unchanged virtual time is a real perf change (or machine
-noise), while a wall-time delta alongside a virtual-time delta usually
-just means the bench now does different work and the baseline should be
-regenerated.
+cluster time is also compared, in total and per phase: it is
+deterministic for a fixed workload, so any drift beyond
+--virtual-threshold (default 0: exact equality) means the work the bench
+performs actually changed, and the comparison says so — a wall-time delta
+with unchanged virtual time is a real perf change (or machine noise),
+while a wall-time delta alongside a virtual-time delta usually just means
+the bench now does different work and the baseline should be regenerated.
 
 The threshold can be widened for noisy CI machines without editing the
 call site via KEYSTONE_BENCH_TOLERANCE (takes precedence over
@@ -50,9 +50,9 @@ def main():
         help="max tolerated wall-time regression as a fraction "
              "(default 0.10 = 10%%)")
     parser.add_argument(
-        "--virtual-threshold", type=float, default=0.01,
-        help="max tolerated virtual-time drift before the workload is "
-             "considered changed (default 0.01)")
+        "--virtual-threshold", type=float, default=0.0,
+        help="max tolerated virtual-time drift, in total and per phase, "
+             "before the workload is considered changed (default 0)")
     args = parser.parse_args()
 
     env_tolerance = os.environ.get("KEYSTONE_BENCH_TOLERANCE")
@@ -90,15 +90,19 @@ def main():
         failures.append(virtual_line)
     print(f"[bench_compare] {virtual_line}")
 
-    # Informational: per-phase virtual-time split, to localize a drift.
+    # Per-phase virtual-time split: localizes a drift, and catches one that
+    # cancels out in the total.
     base_phases = base.get("virtual_seconds_by_phase", {})
     cand_phases = cand.get("virtual_seconds_by_phase", {})
     for phase in sorted(set(base_phases) | set(cand_phases)):
         b = float(base_phases.get(phase, 0.0))
         c = float(cand_phases.get(phase, 0.0))
         if b != c:
-            print(f"[bench_compare]   phase {phase}: {b:.4f}s -> {c:.4f}s "
-                  f"({fraction_delta(b, c):+.1%})")
+            delta = fraction_delta(b, c)
+            phase_line = f"phase {phase}: {b:.4f}s -> {c:.4f}s ({delta:+.1%})"
+            if abs(delta) > args.virtual_threshold:
+                failures.append(phase_line)
+            print(f"[bench_compare]   {phase_line}")
 
     if failures:
         print(f"[bench_compare] FAIL: {len(failures)} gate(s) tripped",

@@ -11,8 +11,9 @@
 #
 #   scripts/ci.sh                  # lint + tier-1 + ASan, UBSan, TSan legs
 #   scripts/ci.sh --no-sanitizers  # lint + tier-1 only (alias: --no-asan)
-#   scripts/ci.sh --smoke          # lint + build + serving/telemetry perf
-#                                  # gate only (fast perf-trajectory check)
+#   scripts/ci.sh --smoke          # lint + build + the serving/telemetry,
+#                                  # reuse and fusion perf gates only (fast
+#                                  # perf-trajectory check)
 #   KEYSTONE_SANITIZE=thread scripts/ci.sh            # custom legs
 #   KEYSTONE_SANITIZE="address undefined" scripts/ci.sh
 #
@@ -71,6 +72,20 @@ tuning_reuse_gate() {
     build/bench/BENCH_tuning_reuse.json
 }
 
+# Fusion gate: fits one text and one image workload per execution style;
+# the bench exits nonzero unless both plan fused regions, stay
+# byte-identical to the unfused whole-dataset path, and shrink the modeled
+# peak intermediate footprint. The emitted JSON is then diffed against the
+# checked-in baseline like the serving gate.
+fusion_gate() {
+  echo "=== fusion: bench_fusion smoke gate ==="
+  (cd build/bench && ./bench_fusion --smoke > /dev/null)
+  echo "=== perf trajectory: BENCH_fusion.json vs checked-in baseline ==="
+  python3 scripts/bench_compare.py \
+    scripts/bench_baselines/BENCH_fusion_smoke.json \
+    build/bench/BENCH_fusion.json
+}
+
 if [[ "$SMOKE_ONLY" == 1 ]]; then
   echo "=== lint: repo conventions ==="
   scripts/lint.sh
@@ -79,6 +94,7 @@ if [[ "$SMOKE_ONLY" == 1 ]]; then
   cmake --build build -j"$(nproc)"
   serving_telemetry_gate
   tuning_reuse_gate
+  fusion_gate
   echo "CI SMOKE OK"
   exit 0
 fi
@@ -151,11 +167,7 @@ serving_telemetry_gate
 
 tuning_reuse_gate
 
-echo "=== fusion: bench_fusion smoke gate ==="
-# Fits one text and one image workload per execution style; exits nonzero
-# unless both plan fused regions, stay byte-identical to the unfused
-# whole-dataset path, and shrink the modeled peak intermediate footprint.
-(cd build/bench && ./bench_fusion --smoke --no-bench-json > /dev/null)
+fusion_gate
 
 if [[ "$RUN_SANITIZED" == 1 ]]; then
   for sanitizer in $SANITIZERS; do

@@ -180,6 +180,20 @@ class EstimatorBase {
                                          const AnyDataset& labels,
                                          ExecContext* ctx) const = 0;
 
+  /// The cost FitAny would report for (data, labels), computed from their
+  /// shape after the same input checks, without fitting; nullopt when only
+  /// a fit can tell (e.g. a data-dependent iteration count). The sampling
+  /// passes charge it instead of fitting estimators whose sample model
+  /// nothing reads.
+  virtual std::optional<CostProfile> FitCostAny(const AnyDataset& data,
+                                                const AnyDataset& labels,
+                                                ExecContext* ctx) const {
+    (void)data;
+    (void)labels;
+    (void)ctx;
+    return std::nullopt;
+  }
+
   /// CostModel for the fitting step (see TransformerBase::EstimateCost).
   virtual CostProfile EstimateCost(const DataStats& in, int workers) const {
     CostProfile cost;
@@ -266,6 +280,16 @@ class LabelEstimator : public EstimatorBase {
                                         const DistDataset<L>& labels,
                                         ExecContext* ctx) const = 0;
 
+  /// Typed FitCostAny: the cost Fit would report, without fitting.
+  virtual std::optional<CostProfile> FitCost(const DistDataset<A>& data,
+                                             const DistDataset<L>& labels,
+                                             ExecContext* ctx) const {
+    (void)data;
+    (void)labels;
+    (void)ctx;
+    return std::nullopt;
+  }
+
   ValueShape InputShapeRequirement() const override {
     return StaticShapeOf<A>::Get();
   }
@@ -285,6 +309,14 @@ class LabelEstimator : public EstimatorBase {
     auto typed_labels = DistDataset<L>::Cast(labels);
     Fitted<Transformer<A, B>> fitted = Fit(*typed_data, *typed_labels, ctx);
     return {std::move(fitted.model), fitted.cost};
+  }
+
+  std::optional<CostProfile> FitCostAny(const AnyDataset& data,
+                                        const AnyDataset& labels,
+                                        ExecContext* ctx) const override {
+    KS_CHECK(labels != nullptr) << Name() << " requires labels";
+    return FitCost(*DistDataset<A>::Cast(data), *DistDataset<L>::Cast(labels),
+                   ctx);
   }
 
   bool IsSupervised() const override { return true; }

@@ -39,6 +39,7 @@ void ResolvePhysical(const GraphNode& node, PlannedNode* pn) {
       if (optimizable != nullptr) {
         pn->optimizable = true;
         const int index = pn->chosen_option >= 0 ? pn->chosen_option : 0;
+        KS_CHECK_LT(index, static_cast<int>(optimizable->options().size()));
         pn->physical_transformer = optimizable->options()[index];
         pn->physical_name = pn->physical_transformer->Name();
       } else {
@@ -53,6 +54,7 @@ void ResolvePhysical(const GraphNode& node, PlannedNode* pn) {
       if (optimizable != nullptr) {
         pn->optimizable = true;
         const int index = pn->chosen_option >= 0 ? pn->chosen_option : 0;
+        KS_CHECK_LT(index, static_cast<int>(optimizable->options().size()));
         pn->physical_estimator = optimizable->options()[index];
         pn->physical_name = pn->physical_estimator->Name();
       } else {
@@ -176,6 +178,18 @@ void PhysicalPlan::SetChosenOption(int id, int option) {
     pn.chosen_option = option;
     ResolvePhysical(graph->node(pn.id), &pn);
   }
+}
+
+int PhysicalPlan::NumOptions(int id) const {
+  KS_CHECK(id >= 0 && id < static_cast<int>(nodes.size()));
+  const GraphNode& node = graph->node(id);
+  if (auto* t = dynamic_cast<OptimizableTransformer*>(node.transformer.get())) {
+    return static_cast<int>(t->options().size());
+  }
+  if (auto* e = dynamic_cast<OptimizableEstimator*>(node.estimator.get())) {
+    return static_cast<int>(e->options().size());
+  }
+  return 0;
 }
 
 int PhysicalPlan::NumTrainNodes() const {

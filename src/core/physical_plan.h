@@ -288,6 +288,10 @@ struct PhysicalPlan {
   /// operator, name, and weight.
   void SetChosenOption(int id, int option);
 
+  /// Number of physical options node `id` can choose among: its
+  /// Optimizable operator's, 0 for any other node.
+  int NumOptions(int id) const;
+
   int NumTrainNodes() const;
   int NumRuntimeNodes() const;
 

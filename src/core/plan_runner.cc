@@ -257,6 +257,11 @@ void PlanRunner::ExecuteNode(int id) {
       span.physical = pn.physical_name;
       span.predicted = est->EstimateCost(in_stats, resources.num_nodes);
       InvokeAndCharge(&out, in_stats, scale, [&] {
+        if (cost_only_[id]) {
+          std::optional<CostProfile> cost = est->FitCostAny(data, labels, ctx_);
+          span.fit_skipped = cost.has_value();
+          if (span.fit_skipped) return cost;
+        }
         Fitted<TransformerBase> fitted = est->FitAny(data, labels, ctx_);
         models_[id] = std::move(fitted.model);
         return fitted.cost;
@@ -782,6 +787,21 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
       catalog_publish_[id] =
           pure[id] && !pn.reused &&
           (pn.kind == NodeKind::kTransformer || pn.kind == NodeKind::kGather);
+    }
+  }
+
+  // Sampling exists to cost nodes (§4.1). A train estimator no train node
+  // consumes, as input or as model, is terminal: its sample model is never
+  // read, so it is charged without fitting wherever it can be costed.
+  cost_only_.assign(n, false);
+  if (InProfileMode()) {
+    for (int id : exec_ids) {
+      cost_only_[id] = plan_->nodes[id].kind == NodeKind::kEstimator;
+    }
+    for (int id : exec_ids) {
+      const PlannedNode& pn = plan_->nodes[id];
+      for (int dep : pn.inputs) cost_only_[dep] = false;
+      if (pn.model_input >= 0) cost_only_[pn.model_input] = false;
     }
   }
 

@@ -26,7 +26,8 @@ using SelectHook = std::function<void(int id, const DataStats& in_stats)>;
 /// What one Run produced, for the executor's accounting.
 struct RunResult {
   /// Fitted models keyed by estimator node id (fit mode; sample models in
-  /// profile modes).
+  /// profile modes, where estimators charged from FitCostAny without
+  /// fitting have none).
   std::map<int, std::shared_ptr<TransformerBase>> models;
   /// Per-node modeled virtual seconds of this pass, indexed by node id.
   std::vector<double> node_seconds;
@@ -171,6 +172,11 @@ class PlanRunner {
   /// the catalog during the id-ordered flush (pure-lineage transformers and
   /// gathers the ReusePass did not already rewrite). Empty otherwise.
   std::vector<bool> catalog_publish_;
+  /// Profile modes: terminal estimators, i.e. train estimators no train
+  /// node consumes. Their sample model is never read, so they are charged
+  /// from FitCostAny without fitting wherever it has a cost. All false in
+  /// fit mode.
+  std::vector<bool> cost_only_;
   std::vector<AnyDataset> outputs_;
   std::vector<std::shared_ptr<TransformerBase>> models_;
   std::vector<NodeOutcome> outcomes_;

@@ -134,6 +134,8 @@ std::string TraceRecorder::ChromeTraceJson() const {
        << ",\"cached\":" << (s.cached ? "true" : "false")
        << ",\"synthetic\":" << (s.synthetic ? "true" : "false")
        << ",\"output_bytes\":" << JsonNumber(s.output_bytes);
+    // Only skipped fits carry the flag, so other spans keep their bytes.
+    if (s.fit_skipped) os << ",\"fit_skipped\":true";
     if (s.fault_attempts > 0) {
       // Only faulted spans carry recovery args; fault-free traces stay
       // byte-identical to builds without the fault layer.
@@ -169,6 +171,7 @@ std::string TraceRecorder::PlanReport() const {
        << ", virtual=" << HumanSeconds(s.virtual_seconds);
     if (s.cached) os << " [cached " << HumanBytes(s.output_bytes) << "]";
     if (s.synthetic) os << " [synthetic]";
+    if (s.fit_skipped) os << " [fit skipped]";
     if (s.fault_attempts > 0) {
       os << " [" << s.fault_attempts << " attempts, recovery "
          << HumanSeconds(s.recovery_seconds)

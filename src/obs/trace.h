@@ -65,6 +65,10 @@ struct TraceSpan {
   /// optimizer emits synthetic profile-phase spans so reports and metrics
   /// still cover every node).
   bool synthetic = false;
+  /// True for a profile-phase estimator span charged from the cost its fit
+  /// would report, without fitting (the sample model nothing reads). Its
+  /// wall time is the costing's, not a fit's.
+  bool fit_skipped = false;
 };
 
 /// Thread-safe sink for execution spans plus the export logic: Chrome

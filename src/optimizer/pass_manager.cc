@@ -62,7 +62,8 @@ bool NeedsProfile(const OptimizationConfig& config) {
 /// Attempts to reconstruct every train node's profile and operator choice
 /// from the ProfileStore instead of executing the sampling passes. Returns
 /// false (leaving the plan untouched) unless the store covers every train
-/// node at both sample sizes.
+/// node at both sample sizes with a choice the node can take: a stale or
+/// corrupt record naming an option the node does not have is a miss.
 bool TryReuseStoredProfiles(PhysicalPlan* plan, ExecContext* ctx) {
   obs::ProfileStore* store = ctx->profile_store();
   if (store == nullptr) return false;
@@ -79,6 +80,7 @@ bool TryReuseStoredProfiles(PhysicalPlan* plan, ExecContext* ctx) {
     const auto small = store->NodeProfileFor(obs::ProfileStore::NodeKey(
         pn.fingerprint, plan->config.profile_sample_small));
     if (!large.has_value() || !small.has_value()) return false;
+    if (large->chosen_option >= plan->NumOptions(pn.id)) return false;
     stored.push_back({pn.id, *small, *large});
   }
   // Full coverage: rebuild what the two sampling passes would have filled.

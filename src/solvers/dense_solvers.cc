@@ -35,16 +35,21 @@ Matrix ExactLeastSquares(const Matrix& a, const Matrix& b, double lambda) {
 
 // --- LocalExactSolver -------------------------------------------------------
 
-Fitted<Transformer<DenseVec, DenseVec>> LocalExactSolver::Fit(
+std::optional<CostProfile> LocalExactSolver::FitCost(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   (void)ctx;
-  const Matrix a = AssembleDense(data);
-  const Matrix b = AssembleLabels(labels);
-  KS_CHECK_EQ(a.rows(), b.rows());
-  Matrix x = ExactLeastSquares(a, b, config_.l2_reg);
-  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
-          solver_costs::LocalExact(a.rows(), a.cols(), b.cols(), a.cols())};
+  const DesignShape shape = DenseDesignShape(data, labels);
+  return solver_costs::LocalExact(shape.n, shape.d, shape.k, shape.s);
+}
+
+Fitted<Transformer<DenseVec, DenseVec>> LocalExactSolver::Fit(
+    const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
+    ExecContext* ctx) const {
+  const CostProfile cost = *FitCost(data, labels, ctx);
+  Matrix x = ExactLeastSquares(AssembleDense(data), AssembleLabels(labels),
+                               config_.l2_reg);
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}), cost};
 }
 
 CostProfile LocalExactSolver::EstimateCost(const DataStats& in,
@@ -63,9 +68,19 @@ double LocalExactSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- DistributedExactSolver -------------------------------------------------
 
+std::optional<CostProfile> DistributedExactSolver::FitCost(
+    const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
+    ExecContext* ctx) const {
+  const DesignShape shape = DenseDesignShape(data, labels);
+  KS_CHECK_GT(shape.d, 0u);
+  return solver_costs::DistributedExact(shape.n, shape.d, shape.k, shape.s,
+                                        ctx->resources().num_nodes);
+}
+
 Fitted<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
+  const CostProfile cost = *FitCost(data, labels, ctx);
   // Per-partition partial Gram + A^T B, then aggregate — the real kernel
   // mirrors the distributed algorithm's structure.
   const Matrix b = AssembleLabels(labels);
@@ -73,7 +88,6 @@ Fitted<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
   for (const auto& part : data.partitions()) {
     for (const auto& rec : part) d = std::max(d, rec.size());
   }
-  KS_CHECK_GT(d, 0u);
   const size_t k = b.cols();
 
   Matrix gram(d, d);
@@ -83,7 +97,6 @@ Fitted<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
     // Partition-local accumulation.
     Matrix a_part(part.size(), d);
     for (size_t i = 0; i < part.size(); ++i) {
-      KS_CHECK_EQ(part[i].size(), d);
       std::copy(part[i].begin(), part[i].end(), a_part.RowPtr(i));
     }
     const Matrix b_part = b.RowSlice(row, row + part.size());
@@ -94,11 +107,7 @@ Fitted<Transformer<DenseVec, DenseVec>> DistributedExactSolver::Fit(
   const double ridge = std::max(config_.l2_reg, 1e-10);
   for (size_t i = 0; i < d; ++i) gram(i, i) += ridge;
   Matrix x = SolveSpd(gram, atb);
-
-  const size_t n = data.NumRecords();
-  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
-          solver_costs::DistributedExact(n, d, k, d,
-                                         ctx->resources().num_nodes)};
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}), cost};
 }
 
 CostProfile DistributedExactSolver::EstimateCost(const DataStats& in,
@@ -160,12 +169,21 @@ double DenseLbfgsSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- DenseBlockSolver -------------------------------------------------------
 
+std::optional<CostProfile> DenseBlockSolver::FitCost(
+    const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
+    ExecContext* ctx) const {
+  const DesignShape shape = DenseDesignShape(data, labels);
+  return solver_costs::Block(shape.n, shape.d, shape.k, shape.s,
+                             std::min(config_.block_size, shape.d),
+                             config_.block_epochs, ctx->resources().num_nodes);
+}
+
 Fitted<Transformer<DenseVec, DenseVec>> DenseBlockSolver::Fit(
     const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
+  const CostProfile cost = *FitCost(data, labels, ctx);
   const Matrix a = AssembleDense(data);
   const Matrix b = AssembleLabels(labels);
-  const size_t n = a.rows();
   const size_t d = a.cols();
   const size_t k = b.cols();
   const size_t block = std::min(config_.block_size, d);
@@ -189,9 +207,7 @@ Fitted<Transformer<DenseVec, DenseVec>> DenseBlockSolver::Fit(
       }
     }
   }
-  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}),
-          solver_costs::Block(n, d, k, d, block, config_.block_epochs,
-                              ctx->resources().num_nodes)};
+  return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}), cost};
 }
 
 CostProfile DenseBlockSolver::EstimateCost(const DataStats& in,

@@ -12,6 +12,10 @@ namespace keystone {
 /// Stacks a dataset of dense feature vectors into an n x d matrix.
 Matrix AssembleDense(const DistDataset<std::vector<double>>& data);
 
+/// Feature dimension of a sparse dataset: the largest record dim, or last
+/// index + 1 for records without one.
+size_t SparseFeatureDim(const DistDataset<SparseVector>& data);
+
 /// Stacks a dataset of sparse feature vectors into a CSR matrix. `dim`
 /// overrides the feature dimension (0 = max of record dims).
 SparseMatrix AssembleSparse(const DistDataset<SparseVector>& data,
@@ -23,6 +27,27 @@ Matrix OneHotLabels(const std::vector<int>& labels, int num_classes);
 
 /// Stacks a dataset of dense label vectors into an n x k matrix.
 Matrix AssembleLabels(const DistDataset<std::vector<double>>& labels);
+
+/// A training set's shape as the solver cost models read it (see
+/// solver_costs.h): n examples, d features, k label columns and s average
+/// non-zeros per example.
+struct DesignShape {
+  size_t n = 0;
+  size_t d = 0;
+  size_t k = 0;
+  double s = 0.0;
+};
+
+/// Shape of dense features and labels (s == d), checked as AssembleDense
+/// and AssembleLabels check them, plus one label row per example.
+DesignShape DenseDesignShape(const DistDataset<std::vector<double>>& data,
+                             const DistDataset<std::vector<double>>& labels);
+
+/// Shape of sparse features and labels with d = SparseFeatureDim(data),
+/// checked as AssembleSparse(data, d) and AssembleLabels check them (every
+/// index below d), plus one label row per example.
+DesignShape SparseDesignShape(const DistDataset<SparseVector>& data,
+                              const DistDataset<std::vector<double>>& labels);
 
 }  // namespace keystone
 

@@ -58,6 +58,9 @@ class LocalExactSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
   Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const DistDataset<DenseVec>& data,
+                                     const DistDataset<DenseVec>& labels,
+                                     ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
@@ -91,6 +94,9 @@ class DistributedExactSolver
   Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const DistDataset<DenseVec>& data,
+                                     const DistDataset<DenseVec>& labels,
+                                     ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
@@ -154,6 +160,9 @@ class DenseBlockSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
   Fitted<Transformer<DenseVec, DenseVec>> Fit(
       const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
       ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const DistDataset<DenseVec>& data,
+                                     const DistDataset<DenseVec>& labels,
+                                     ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
@@ -226,6 +235,9 @@ class SparseExactSolver
   Fitted<Transformer<SparseVector, DenseVec>> Fit(
       const DistDataset<SparseVector>& data,
       const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const DistDataset<SparseVector>& data,
+                                     const DistDataset<DenseVec>& labels,
+                                     ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
@@ -259,6 +271,9 @@ class SparseBlockSolver
   Fitted<Transformer<SparseVector, DenseVec>> Fit(
       const DistDataset<SparseVector>& data,
       const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const DistDataset<SparseVector>& data,
+                                     const DistDataset<DenseVec>& labels,
+                                     ExecContext* ctx) const override;
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;

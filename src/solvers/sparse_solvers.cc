@@ -19,19 +19,6 @@ namespace {
 // more memory than any single node has (the paper's crash regime).
 constexpr size_t kMaxDenseGramDim = 20000;
 
-size_t SparseFeatureDim(const DistDataset<SparseVector>& data) {
-  size_t d = 0;
-  for (const auto& part : data.partitions()) {
-    for (const auto& rec : part) {
-      d = std::max(d, rec.dim != 0 ? rec.dim
-                                   : (rec.indices.empty()
-                                          ? 0
-                                          : rec.indices.back() + 1));
-    }
-  }
-  return d;
-}
-
 }  // namespace
 
 // --- SparseLbfgsSolver ------------------------------------------------------
@@ -84,17 +71,24 @@ double SparseLbfgsSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- SparseExactSolver ------------------------------------------------------
 
-Fitted<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
+std::optional<CostProfile> SparseExactSolver::FitCost(
     const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
   (void)ctx;
-  const size_t d = SparseFeatureDim(data);
-  KS_CHECK_LE(d, kMaxDenseGramDim)
-      << "SparseExactSolver: dense " << d << "x" << d
+  const DesignShape shape = SparseDesignShape(data, labels);
+  KS_CHECK_LE(shape.d, kMaxDenseGramDim)
+      << "SparseExactSolver: dense " << shape.d << "x" << shape.d
       << " Gram matrix exceeds node memory (the paper's crash case)";
+  return solver_costs::LocalExact(shape.n, shape.d, shape.k, shape.s);
+}
+
+Fitted<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
+    const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
+    ExecContext* ctx) const {
+  const CostProfile cost = *FitCost(data, labels, ctx);
+  const size_t d = SparseFeatureDim(data);
   const SparseMatrix a = AssembleSparse(data, d);
   const Matrix b = AssembleLabels(labels);
-  const size_t k = b.cols();
 
   // Dense Gram accumulation from CSR rows.
   Matrix gram(d, d);
@@ -112,11 +106,8 @@ Fitted<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
   const double ridge = std::max(config_.l2_reg, 1e-10);
   for (size_t i = 0; i < d; ++i) gram(i, i) += ridge;
   Matrix x = SolveSpd(gram, a.TransMatMul(b));
-
-  const double avg_nnz =
-      static_cast<double>(a.nnz()) / std::max<size_t>(1, a.rows());
   return {std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{}),
-          solver_costs::LocalExact(a.rows(), d, k, avg_nnz)};
+          cost};
 }
 
 CostProfile SparseExactSolver::EstimateCost(const DataStats& in,
@@ -143,9 +134,19 @@ double SparseExactSolver::ScratchMemoryBytes(const DataStats& in,
 
 // --- SparseBlockSolver ------------------------------------------------------
 
+std::optional<CostProfile> SparseBlockSolver::FitCost(
+    const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
+    ExecContext* ctx) const {
+  const DesignShape shape = SparseDesignShape(data, labels);
+  return solver_costs::Block(shape.n, shape.d, shape.k, shape.s,
+                             std::min(config_.block_size, shape.d),
+                             config_.block_epochs, ctx->resources().num_nodes);
+}
+
 Fitted<Transformer<SparseVector, DenseVec>> SparseBlockSolver::Fit(
     const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
     ExecContext* ctx) const {
+  const CostProfile cost = *FitCost(data, labels, ctx);
   const size_t d = SparseFeatureDim(data);
   const SparseMatrix a = AssembleSparse(data, d);
   const Matrix b = AssembleLabels(labels);
@@ -180,11 +181,8 @@ Fitted<Transformer<SparseVector, DenseVec>> SparseBlockSolver::Fit(
       }
     }
   }
-  const double avg_nnz =
-      static_cast<double>(a.nnz()) / std::max<size_t>(1, n);
   return {std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{}),
-          solver_costs::Block(n, d, k, avg_nnz, block, config_.block_epochs,
-                              ctx->resources().num_nodes)};
+          cost};
 }
 
 CostProfile SparseBlockSolver::EstimateCost(const DataStats& in,

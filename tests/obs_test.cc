@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,6 +22,8 @@
 #include "src/obs/resource_timeline.h"
 #include "src/obs/trace.h"
 #include "src/optimizer/operator_optimizer.h"
+#include "src/workloads/datasets.h"
+#include "src/workloads/pipelines.h"
 #include "tests/test_operators.h"
 
 namespace keystone {
@@ -567,6 +570,78 @@ TEST(ProfileStoreTest, OptimizerConsumesStoredProfilesInsteadOfResampling) {
   EXPECT_NEAR(second.total_train_seconds, first.total_train_seconds,
               1e-9 * std::max(1.0, first.total_train_seconds));
   EXPECT_DOUBLE_EQ(second.optimize_seconds, 0.0);
+}
+
+TEST(ProfileStoreTest, OutOfRangeStoredChoiceSamplesLive) {
+  // A stale or corrupt store can name a physical option the node does not
+  // have; replaying it used to index past the option list. It now counts
+  // as a store miss: the passes sample live and decide as a cold compile
+  // with the same observed history.
+  LinearSolverConfig solver;
+  solver.num_classes = 2;
+  const workloads::TextCorpus corpus = workloads::AmazonLike(64, 8, 10, 200, 7);
+  const auto pipe = workloads::BuildAmazonPipeline(corpus, 128, solver);
+  OptimizationConfig config = OptimizationConfig::Full();
+  config.reuse_stored_profiles = true;
+  const auto compile = [&](obs::ProfileStore* store) {
+    PipelineExecutor executor(TestCluster(), config);
+    executor.context()->set_profile_store(store);
+    return executor.Compile(*pipe.graph(), pipe.source(), pipe.sink());
+  };
+
+  const std::string path = ::testing::TempDir() + "/stale_profiles.txt";
+  {
+    obs::ProfileStore cold;
+    compile(&cold);
+    ASSERT_TRUE(cold.Save(path));
+  }
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  // A node record's last field is its chosen option (-1 = none). Rewrite
+  // it to 7 on the records that chose (past the sparse solver's 3
+  // options), or on every record (choices for nodes that have none).
+  const auto is_node = [](const std::string& line) {
+    return line.rfind("node ", 0) == 0;
+  };
+  const auto has_choice = [&](const std::string& line) {
+    return is_node(line) && line.substr(line.rfind(' ') + 1) != "-1";
+  };
+  ASSERT_TRUE(std::any_of(lines.begin(), lines.end(), has_choice));
+  const auto rewrite = [&](bool every_record) {
+    std::string contents;
+    for (const std::string& line : lines) {
+      if (has_choice(line) || (every_record && is_node(line))) {
+        contents += line.substr(0, line.rfind(' ')) + " 7\n";
+      } else {
+        contents += line + "\n";
+      }
+    }
+    return contents;
+  };
+  const auto load = [&](const std::string& contents, obs::ProfileStore* store) {
+    std::ofstream(path) << contents;
+    return store->Load(path);
+  };
+  std::string history_only;
+  for (const std::string& line : lines) {
+    if (!is_node(line)) history_only += line + "\n";
+  }
+  obs::ProfileStore history;
+  ASSERT_TRUE(load(history_only, &history));
+  const auto reference = compile(&history);
+  EXPECT_FALSE(reference->profiles_from_store);
+
+  for (bool every_record : {false, true}) {
+    obs::ProfileStore stale;
+    ASSERT_TRUE(load(rewrite(every_record), &stale));
+    const auto warm = compile(&stale);
+    EXPECT_FALSE(warm->profiles_from_store) << every_record;
+    EXPECT_EQ(warm->ToJson(), reference->ToJson()) << every_record;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(JsonEscapingTest, MetricNamesWithSpecialCharactersStayValidJson) {

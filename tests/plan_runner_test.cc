@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,6 +21,8 @@ namespace keystone {
 namespace {
 
 using testing_ops::AddConst;
+using testing_ops::MeanCenterer;
+using testing_ops::OffsetEstimator;
 using testing_ops::ReportingEstimator;
 using testing_ops::Scale;
 
@@ -160,6 +163,160 @@ TEST(PlanRunnerTest, UnoptimizedConfigsAgreeAcrossSchedulers) {
   EXPECT_EQ(off.output, on.output);
   EXPECT_EQ(off.fit_ledger_seconds, on.fit_ledger_seconds);
   EXPECT_EQ(off.report_text, on.report_text);
+}
+
+/// Supervised estimator whose reported fit cost follows from its input's
+/// shape alone, like the exact solvers', and which counts its fits. No
+/// FitCost override: the runner must fit it to learn that cost.
+class CountingEstimator : public LabelEstimator<double, double, double> {
+ public:
+  std::string Name() const override { return "CountingEstimator"; }
+
+  Fitted<Transformer<double, double>> Fit(
+      const DistDataset<double>& data, const DistDataset<double>& labels,
+      ExecContext* ctx) const override {
+    ++fits_;
+    return {OffsetEstimator().Fit(data, labels, ctx).model, ShapeCost(data)};
+  }
+
+  int fits() const { return fits_; }
+
+ protected:
+  static CostProfile ShapeCost(const DistDataset<double>& data) {
+    const double n = static_cast<double>(data.NumRecords());
+    return CostProfile(1e8 * n, 8e3 * n, 1e3 * n, 1.0);
+  }
+
+ private:
+  mutable std::atomic<int> fits_{0};
+};
+
+/// The same estimator (same name, so the same fingerprints) with the
+/// cost-only hook.
+class CostedCountingEstimator : public CountingEstimator {
+ public:
+  std::optional<CostProfile> FitCost(const DistDataset<double>& data,
+                                     const DistDataset<double>& labels,
+                                     ExecContext* ctx) const override {
+    (void)labels;
+    (void)ctx;
+    return ShapeCost(data);
+  }
+};
+
+struct CountingRun {
+  int fits = 0;
+  std::vector<ProfileEntry> profiles;  // train nodes, in id order
+  std::string plan_json;               // includes the decision log
+  std::string decision_log_json;
+  /// Spans of the counting estimator's node, in trace order.
+  std::vector<obs::TraceSpan> spans;
+  std::string chrome_trace;
+  std::string plan_report;
+};
+
+/// Fits Scale(2) then `est` on 1200 labeled records, so the two sampling
+/// passes see 512 and 1024 of them. With `consumed`, a MeanCenterer fit
+/// downstream applies `est`'s model on the train path, so `est` is not
+/// terminal.
+CountingRun FitCounting(const std::shared_ptr<CountingEstimator>& est,
+                        bool consumed) {
+  std::vector<double> values(1200);
+  std::vector<double> targets(1200);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i % 17);
+    targets[i] = values[i] * 0.5 + 3.0;
+  }
+  auto train = Doubles(values, 4);
+  auto labels = Doubles(targets, 4);
+  auto pipe = PipelineInput<double>()
+                  .AndThen(std::make_shared<Scale>(2.0))
+                  .AndThen(est, train, labels);
+  if (consumed) pipe = pipe.AndThen(std::make_shared<MeanCenterer>(), train);
+  obs::TraceRecorder recorder;
+  PipelineExecutor executor(TestCluster(), OptimizationConfig::Full());
+  executor.context()->set_tracer(&recorder);
+  const auto fitted = executor.Fit(pipe);
+  const PhysicalPlan& plan = fitted.impl().plan();
+  CountingRun run;
+  run.fits = est->fits();
+  for (const PlannedNode& pn : plan.nodes) {
+    if (pn.train) run.profiles.push_back(pn.profile);
+  }
+  run.plan_json = plan.ToJson();
+  run.decision_log_json = plan.decision_log->ToJson();
+  for (const obs::TraceSpan& span : recorder.Spans()) {
+    if (span.name == "CountingEstimator") run.spans.push_back(span);
+  }
+  run.chrome_trace = recorder.ChromeTraceJson();
+  run.plan_report = recorder.PlanReport();
+  return run;
+}
+
+void ExpectSameProfiles(const CountingRun& a, const CountingRun& b) {
+  ASSERT_EQ(a.profiles.size(), b.profiles.size());
+  for (size_t i = 0; i < a.profiles.size(); ++i) {
+    EXPECT_EQ(a.profiles[i].seconds_small, b.profiles[i].seconds_small) << i;
+    EXPECT_EQ(a.profiles[i].seconds_large, b.profiles[i].seconds_large) << i;
+    EXPECT_EQ(a.profiles[i].records_small, b.profiles[i].records_small) << i;
+    EXPECT_EQ(a.profiles[i].records_large, b.profiles[i].records_large) << i;
+    EXPECT_EQ(a.profiles[i].bytes_per_record, b.profiles[i].bytes_per_record)
+        << i;
+    EXPECT_EQ(a.profiles[i].full_records, b.profiles[i].full_records) << i;
+  }
+}
+
+TEST(PlanRunnerTest, TerminalEstimatorWithCostHookFitsOnlyInTrainPass) {
+  const CountingRun costed =
+      FitCounting(std::make_shared<CostedCountingEstimator>(), false);
+  const CountingRun twin =
+      FitCounting(std::make_shared<CountingEstimator>(), false);
+
+  // Nothing reads the sample models, so the hook replaces both sampling
+  // fits; the twin without it still fits in every pass.
+  EXPECT_EQ(costed.fits, 1);
+  EXPECT_EQ(twin.fits, 3);
+
+  // The hook returns the cost the fit would report, so the optimizer sees
+  // exactly what it saw before.
+  ExpectSameProfiles(costed, twin);
+  EXPECT_EQ(costed.plan_json, twin.plan_json);
+  EXPECT_EQ(costed.decision_log_json, twin.decision_log_json);
+
+  // Both sampling spans are flagged and observed the hook's cost; the
+  // train span is a real fit.
+  ASSERT_EQ(costed.spans.size(), 3u);
+  ASSERT_EQ(twin.spans.size(), 3u);
+  for (size_t i = 0; i < costed.spans.size(); ++i) {
+    const obs::TraceSpan& span = costed.spans[i];
+    EXPECT_EQ(span.fit_skipped, span.phase != obs::TracePhase::kTrain) << i;
+    EXPECT_FALSE(twin.spans[i].fit_skipped) << i;
+    ASSERT_TRUE(span.observed.has_value());
+    ASSERT_TRUE(twin.spans[i].observed.has_value());
+    EXPECT_EQ(span.observed->flops, twin.spans[i].observed->flops) << i;
+    EXPECT_EQ(span.virtual_seconds, twin.spans[i].virtual_seconds) << i;
+  }
+  EXPECT_NE(costed.chrome_trace.find("\"fit_skipped\":true"),
+            std::string::npos);
+  EXPECT_NE(costed.plan_report.find("[fit skipped]"), std::string::npos);
+  EXPECT_EQ(twin.chrome_trace.find("fit_skipped"), std::string::npos);
+  EXPECT_EQ(twin.plan_report.find("[fit skipped]"), std::string::npos);
+}
+
+TEST(PlanRunnerTest, ConsumedEstimatorFitsInEveryPass) {
+  // The downstream MeanCenterer's sampling fits read this estimator's
+  // sample model, so the hook must not replace those fits.
+  const CountingRun costed =
+      FitCounting(std::make_shared<CostedCountingEstimator>(), true);
+  const CountingRun twin =
+      FitCounting(std::make_shared<CountingEstimator>(), true);
+  EXPECT_EQ(costed.fits, 3);
+  EXPECT_EQ(twin.fits, 3);
+  ASSERT_EQ(costed.spans.size(), 3u);
+  for (const obs::TraceSpan& span : costed.spans) {
+    EXPECT_FALSE(span.fit_skipped);
+  }
+  EXPECT_EQ(costed.plan_json, twin.plan_json);
 }
 
 TEST(CompileTest, ExposesCompiledPlan) {

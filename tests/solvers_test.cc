@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -218,6 +220,78 @@ TEST(SparseSolversTest, ExactAndBlockAgreeWithLbfgs) {
   auto* block_typed = dynamic_cast<SparseLinearMapModel*>(block_model.get());
   EXPECT_LT(MaxWeightError(exact_typed->weights(), problem.x_true), 1e-5);
   EXPECT_LT(MaxWeightError(block_typed->weights(), problem.x_true), 1e-3);
+}
+
+// --- Cost-only hook: FitCost is the cost Fit reports ------------------------
+
+/// The profile passes charge FitCost in place of fitting, so it must equal
+/// the cost Fit reports bit for bit.
+template <typename Solver, typename Features>
+void ExpectFitCostIsFitCost(const Solver& solver, const Features& data,
+                            const DistDataset<DenseVec>& labels, int workers) {
+  ExecContext ctx(ClusterResourceDescriptor::R3_4xlarge(workers));
+  const std::optional<CostProfile> hook = solver.FitCost(data, labels, &ctx);
+  const std::optional<CostProfile> fit = solver.Fit(data, labels, &ctx).cost;
+  ASSERT_TRUE(hook.has_value()) << solver.Name();
+  ASSERT_TRUE(fit.has_value()) << solver.Name();
+  EXPECT_EQ(hook->flops, fit->flops) << solver.Name();
+  EXPECT_EQ(hook->bytes, fit->bytes) << solver.Name();
+  EXPECT_EQ(hook->network, fit->network) << solver.Name();
+  EXPECT_EQ(hook->rounds, fit->rounds) << solver.Name();
+}
+
+TEST(SolverFitCostTest, DenseHookEqualsFitCost) {
+  LinearSolverConfig config;
+  config.block_size = 16;
+  for (size_t k : {1, 8}) {
+    config.num_classes = static_cast<int>(k);
+    // n < d takes LocalExact's dual path; n > d the normal equations.
+    for (const auto& [n, d] : {std::pair<size_t, size_t>{15, 40}, {90, 24}}) {
+      const DenseProblem problem = MakeDenseProblem(n, d, k, 0.01, 23);
+      for (int workers : {1, 16}) {
+        ExpectFitCostIsFitCost(LocalExactSolver(config), *problem.data,
+                               *problem.labels, workers);
+        ExpectFitCostIsFitCost(DistributedExactSolver(config), *problem.data,
+                               *problem.labels, workers);
+        ExpectFitCostIsFitCost(DenseBlockSolver(config), *problem.data,
+                               *problem.labels, workers);
+      }
+    }
+  }
+}
+
+TEST(SolverFitCostTest, SparseHookEqualsFitCost) {
+  LinearSolverConfig config;
+  config.block_size = 16;
+  for (size_t k : {1, 8}) {
+    config.num_classes = static_cast<int>(k);
+    for (const auto& [n, d] : {std::pair<size_t, size_t>{20, 30}, {80, 30}}) {
+      const SparseProblem problem = MakeSparseProblem(n, d, k, 5, 29);
+      // Records with dim == 0 size the features by last index + 1.
+      std::vector<SparseVector> rows = problem.data->Collect();
+      for (SparseVector& row : rows) row.dim = 0;
+      const auto dimless = MakeDataset(std::move(rows), 3);
+      for (int workers : {1, 16}) {
+        for (const DistDataset<SparseVector>* data :
+             {problem.data.get(), dimless.get()}) {
+          ExpectFitCostIsFitCost(SparseExactSolver(config), *data,
+                                 *problem.labels, workers);
+          ExpectFitCostIsFitCost(SparseBlockSolver(config), *data,
+                                 *problem.labels, workers);
+        }
+      }
+    }
+  }
+}
+
+TEST(SolverFitCostTest, DataDependentSolversHaveNoHook) {
+  // L-BFGS reports its actual gradient evaluations: only a fit can tell.
+  const DenseProblem problem = MakeDenseProblem(40, 6, 2, 0.01, 31);
+  LinearSolverConfig config;
+  auto ctx = MakeContext();
+  EXPECT_FALSE(DenseLbfgsSolver(config)
+                   .FitCost(*problem.data, *problem.labels, &ctx)
+                   .has_value());
 }
 
 TEST(LogisticTest, SeparatesLinearlySeparableData) {
