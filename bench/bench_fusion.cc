@@ -1,16 +1,17 @@
 // Operator-fusion experiment: fused chunked execution vs unfused
 // whole-dataset execution (the SystemML-style codegen comparison, Boehm et
 // al. 2018, transplanted onto KeystoneML pipelines). One text workload
-// (Amazon) and one image workload (CIFAR) are fitted once per execution
-// style and their runtime paths applied repeatedly to the test split; the
-// bench reports per workload:
-//   - fit and apply wall time per style, with the fused/unfused delta,
-//   - modeled peak intermediate memory: bytes the unfused style
+// (Amazon) and one image workload (CIFAR) are fitted once with
+// OptimizationConfig::operator_fusion on and once with it off, and their
+// runtime paths applied repeatedly to the test split; the bench reports per
+// workload:
+//   - fit and apply wall time per leg, with the fused/unfused delta,
+//   - modeled peak intermediate memory: bytes the unfused leg
 //     materializes between fused-region members (exec.fused.
-//     intermediate_bytes_avoided) vs the fused style's peak chunk-resident
+//     intermediate_bytes_avoided) vs the fused leg's peak chunk-resident
 //     bytes (exec.fused.chunk_resident_bytes max),
 //   - a byte-identity check: outputs and plan reports must match across
-//     styles exactly, or the bench aborts.
+//     legs exactly, or the bench aborts.
 //
 // In --smoke mode the bench doubles as the CI gate: it fails unless both
 // workloads plan fused regions, stay byte-identical, and shrink the modeled
@@ -43,11 +44,11 @@ ClusterResourceDescriptor Cluster() {
   return ClusterResourceDescriptor::R3_4xlarge(4);
 }
 
-struct StyleResult {
+struct LegResult {
   double fit_wall = 0.0;
   double apply_wall = 0.0;          // best-of-reps over the test split
-  double bytes_avoided = 0.0;       // fused style only
-  double chunk_resident_max = 0.0;  // fused style only
+  double bytes_avoided = 0.0;       // fused leg only
+  double chunk_resident_max = 0.0;  // fused leg only
   double fused_regions = 0.0;
   std::string report_text;
   std::string output_digest;  // record count + FNV over the output doubles
@@ -55,8 +56,8 @@ struct StyleResult {
 
 struct WorkloadResult {
   std::string name;
-  StyleResult fused;
-  StyleResult unfused;
+  LegResult fused;
+  LegResult unfused;
 };
 
 /// FNV-1a over the raw double bits of every output record, so two runs can
@@ -84,21 +85,23 @@ std::string DigestOutputs(
   return std::to_string(records) + ":" + std::to_string(h);
 }
 
-/// Fits `pipe` under `style` and applies the runtime path `reps` times to
-/// `test`, reporting wall times and the fused-execution metrics.
+/// Fits `pipe` with operator fusion on or off and applies the runtime path
+/// `reps` times to `test`, reporting wall times and the fused-execution
+/// metrics.
 template <typename In>
-StyleResult RunStyle(const Pipeline<In, std::vector<double>>& pipe,
-                     const std::shared_ptr<DistDataset<In>>& test,
-                     ExecStyle style, int reps) {
-  PipelineExecutor executor(Cluster(), OptimizationConfig::Full());
+LegResult RunLeg(const Pipeline<In, std::vector<double>>& pipe,
+                 const std::shared_ptr<DistDataset<In>>& test, bool fusion,
+                 int reps) {
+  OptimizationConfig config = OptimizationConfig::Full();
+  config.operator_fusion = fusion;
+  PipelineExecutor executor(Cluster(), config);
   obs::MetricsRegistry metrics;
   executor.context()->set_metrics(&metrics);
   ExecOptions opts;
-  opts.style = style;
   opts.max_batch_size = 256;
   executor.context()->set_exec_options(opts);
 
-  StyleResult result;
+  LegResult result;
   PipelineReport report;
   Timer fit_timer;
   auto fitted = executor.Fit(pipe, &report);
@@ -131,8 +134,8 @@ WorkloadResult RunWorkload(const std::string& name,
                            int reps) {
   WorkloadResult result;
   result.name = name;
-  result.unfused = RunStyle(pipe, test, ExecStyle::kWholeDataset, reps);
-  result.fused = RunStyle(pipe, test, ExecStyle::kChunked, reps);
+  result.unfused = RunLeg(pipe, test, /*fusion=*/false, reps);
+  result.fused = RunLeg(pipe, test, /*fusion=*/true, reps);
   std::printf(
       "%-8s fit %.3fs -> %.3fs  apply %.4fs -> %.4fs  "
       "regions=%d  avoided=%s  chunk-peak=%s\n",
@@ -154,7 +157,7 @@ std::string Num(double v) {
   return buf;
 }
 
-std::string StyleJson(const StyleResult& r) {
+std::string LegJson(const LegResult& r) {
   return "{\"fit_wall_seconds\":" + Num(r.fit_wall) +
          ",\"apply_wall_seconds\":" + Num(r.apply_wall) +
          ",\"fused_regions\":" + Num(r.fused_regions) +
@@ -198,10 +201,10 @@ int Run(int argc, char** argv) {
     const WorkloadResult& r = results[i];
     json += (i == 0 ? "" : ",");
     json += "{\"workload\":\"" + r.name + "\",\"identical\":true,\"fused\":" +
-            StyleJson(r.fused) + ",\"unfused\":" + StyleJson(r.unfused) + "}";
+            LegJson(r.fused) + ",\"unfused\":" + LegJson(r.unfused) + "}";
     // The CI gate: regions must be planned and executed, and the modeled
     // peak intermediate footprint must shrink (chunk-resident bytes below
-    // the intermediates the unfused style materializes).
+    // the intermediates the unfused leg materializes).
     if (r.fused.fused_regions <= 0.0 || r.fused.bytes_avoided <= 0.0 ||
         r.fused.chunk_resident_max >= r.fused.bytes_avoided) {
       std::fprintf(stderr,

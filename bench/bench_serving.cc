@@ -98,23 +98,28 @@ ServingFixture BuildFixture(bool smoke) {
   return fixture;
 }
 
+/// A copy of `fitted` whose plan has no fused regions: the same models,
+/// served node by node, as a plan compiled with operator_fusion off would
+/// be. Copying instead of refitting keeps the fit's spans, and so the
+/// bench's virtual seconds, unchanged.
+std::shared_ptr<FittedPipelineUntyped> WithoutFusedRegions(
+    const std::shared_ptr<FittedPipelineUntyped>& fitted) {
+  auto plan = std::make_shared<PhysicalPlan>(fitted->plan());
+  plan->fused_regions.clear();
+  for (PlannedNode& pn : plan->nodes) pn.fused_region = -1;
+  return std::make_shared<FittedPipelineUntyped>(plan, fitted->models());
+}
+
 /// One serving configuration: both tenants at `rate_per_tenant`, batching
 /// capped at `max_batch`. Returns the report (and the response stream when
-/// `stream_out` is set, for the determinism check). `style` selects how each
-/// request batch executes — fused chunked streaming (the default) or the
-/// unfused whole-dataset path — and is inherited by every request context
-/// the server mints.
+/// `stream_out` is set, for the determinism check).
 ServeReport RunConfig(const ServingFixture& fixture, double rate_per_tenant,
                       size_t max_batch, size_t requests_per_tenant,
-                      size_t num_threads, std::string* stream_out,
-                      ExecStyle style = ExecStyle::kChunked) {
+                      size_t num_threads, std::string* stream_out) {
   ServerConfig config;
   config.server_slots = 4;
   config.num_threads = num_threads;
   PipelineServer server(Cluster(), config);
-  ExecOptions exec_opts;
-  exec_opts.style = style;
-  server.context()->set_exec_options(exec_opts);
   ServeOptions options;
   options.max_batch_size = max_batch;
   options.max_batch_delay_seconds = 0.05;
@@ -275,10 +280,8 @@ PriorResult MeasureAdmissionPrior(
     const std::shared_ptr<FittedPipelineUntyped>& fitted,
     const std::shared_ptr<serve::RequestCodec>& codec, size_t batch_size,
     size_t num_batches) {
-  ServablePipeline seeded(fitted, /*validate=*/true,
-                          /*use_static_prior=*/true);
-  ServablePipeline cold(fitted, /*validate=*/true,
-                        /*use_static_prior=*/false);
+  ServablePipeline seeded(fitted, /*use_static_prior=*/true);
+  ServablePipeline cold(fitted, /*use_static_prior=*/false);
   KS_CHECK(seeded.has_static_prior())
       << "fitted plan lost its dataflow annotations";
   PriorResult result;
@@ -376,15 +379,17 @@ int Run(int argc, char** argv) {
                   : 0.0);
 
   // Fused vs unfused per-request execution at the saturating batched
-  // configuration: response streams must stay byte-identical across styles
-  // and the fused p99 must be no worse than the unfused one.
+  // configuration: the unfused leg serves the same fitted models from plans
+  // without fused regions. Response streams must stay byte-identical and
+  // the fused p99 must be no worse than the unfused one.
+  ServingFixture unfused = fixture;
+  unfused.amazon = WithoutFusedRegions(fixture.amazon);
+  unfused.youtube = WithoutFusedRegions(fixture.youtube);
   std::string stream_fused, stream_unfused;
   const ServeReport fused_report =
-      RunConfig(fixture, rates.back(), 16, requests, 0, &stream_fused,
-                ExecStyle::kChunked);
+      RunConfig(fixture, rates.back(), 16, requests, 0, &stream_fused);
   const ServeReport unfused_report =
-      RunConfig(fixture, rates.back(), 16, requests, 0, &stream_unfused,
-                ExecStyle::kWholeDataset);
+      RunConfig(unfused, rates.back(), 16, requests, 0, &stream_unfused);
   double fused_p99 = 0.0, unfused_p99 = 0.0;
   for (const auto& tenant : fused_report.tenants) {
     if (tenant.p99_latency_seconds > fused_p99) {

@@ -5,8 +5,8 @@
 # (decision provenance + calibration over every shipped workload), the
 # serving smoke gate (determinism + batching-throughput checks), the
 # cross-run reuse smoke gate (warm-catalog grid search byte-identity +
-# >= 2x cumulative-makespan win), the fusion smoke gate (fused-chunked vs
-# whole-dataset byte-identity + modeled memory reduction), then a sanitizer
+# >= 2x cumulative-makespan win), the fusion smoke gate (operator_fusion on
+# vs off byte-identity + modeled memory reduction), then a sanitizer
 # matrix running the full suite under each sanitizer.
 #
 #   scripts/ci.sh                  # lint + tier-1 + ASan, UBSan, TSan legs
@@ -72,10 +72,11 @@ tuning_reuse_gate() {
     build/bench/BENCH_tuning_reuse.json
 }
 
-# Fusion gate: fits one text and one image workload per execution style;
-# the bench exits nonzero unless both plan fused regions, stay
-# byte-identical to the unfused whole-dataset path, and shrink the modeled
-# peak intermediate footprint. The emitted JSON is then diffed against the
+# Fusion gate: fits one text and one image workload with operator_fusion on
+# and off (the one fusion switch; an unfused plan runs node by node); the
+# bench exits nonzero unless the fused fits plan fused regions, stay
+# byte-identical to the unfused fits, and shrink the modeled peak
+# intermediate footprint. The emitted JSON is then diffed against the
 # checked-in baseline like the serving gate.
 fusion_gate() {
   echo "=== fusion: bench_fusion smoke gate ==="

@@ -12,6 +12,10 @@
 #      declarations are exempt.
 #   4. #include lines are sorted within each contiguous block, angle
 #      includes before quoted ones.
+#   5. src/ reaches the process-global sinks (TraceRecorder, MetricsRegistry,
+#      ProfileStore, ResourceTimeline, ThreadPool) only through ExecContext:
+#      no `<Sink>::Global` outside src/core/exec_context.h (the context's
+#      defaults) and the singleton's own definition.
 #
 # Exit status 1 when any check fails.
 set -euo pipefail
@@ -102,6 +106,24 @@ for f in "${sources[@]}"; do
       next
     }
     { in_block = 0 }' "$f" || true)
+done
+
+# --- 5. Process-global sinks only via ExecContext ---------------------------
+declare -A sink_home=(
+  [TraceRecorder]=src/obs/trace.cc
+  [MetricsRegistry]=src/obs/metrics.cc
+  [ProfileStore]=src/obs/profile_store.cc
+  [ResourceTimeline]=src/obs/resource_timeline.cc
+  [ThreadPool]=src/common/thread_pool.cc
+)
+for sink in "${!sink_home[@]}"; do
+  while IFS= read -r hit; do
+    file="${hit%%:*}"
+    line="${hit#*:}"
+    [[ "$file" == src/core/exec_context.h ]] && continue
+    [[ "$file" == "${sink_home[$sink]}" ]] && continue
+    complain "$file:${line%%:*}: ${sink}::Global outside ExecContext"
+  done < <(grep -rnoE "\b${sink}::Global\b" src || true)
 done
 
 if [[ "$fail" != 0 ]]; then

@@ -132,7 +132,7 @@ ValidationReport CheckDataflow(const PhysicalPlan& plan,
                 " bytes) exceeds the cache budget (" +
                 std::to_string(plan.cache_budget_bytes) + " bytes)",
             "drop '" + pn.name +
-                "' from the cache set or raise cache_fraction");
+                "' from the cache set or raise cache_budget_bytes");
       }
     }
   }
@@ -313,7 +313,6 @@ ValidationReport ValidateFusedRegions(const PhysicalPlan& plan,
 }
 
 void RecordFusibility(const PhysicalPlan& plan, const DataflowResult& flow) {
-  if (plan.decision_log == nullptr) return;
   for (const FusibleChain& chain : FusibleChains(plan, flow)) {
     obs::FusionCandidate cand;
     cand.nodes = chain.nodes;

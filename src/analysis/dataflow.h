@@ -89,7 +89,7 @@ ValidationReport ValidateFusedRegions(const PhysicalPlan& plan,
                                       const DataflowResult& flow);
 
 /// Records every fusible chain into the plan's optimizer decision log
-/// (obs::FusionCandidate entries). No-op when the plan has no log.
+/// (obs::FusionCandidate entries).
 void RecordFusibility(const PhysicalPlan& plan, const DataflowResult& flow);
 
 /// Statically predicted virtual seconds per record for the plan's runtime

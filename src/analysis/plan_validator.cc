@@ -508,13 +508,6 @@ ValidationReport ValidateReuseMarkers(const PhysicalPlan& plan) {
                      "): only train transformer/gather outputs can come "
                      "from the artifact catalog");
     }
-    if (pn.reused && pn.reuse_fingerprint != pn.lineage_fingerprint) {
-      report.Add(Severity::kError, rules::kReuseFingerprintMismatch, pn.id,
-                 "reused node '" + pn.name + "' reads catalog entry \"" +
-                     pn.reuse_fingerprint +
-                     "\" but its lineage fingerprint is \"" +
-                     pn.lineage_fingerprint + "\"");
-    }
     if (pn.reused && pn.reuse_pruned) {
       report.Add(Severity::kError, rules::kReusePrunedDemand, pn.id,
                  "node '" + pn.name +

@@ -159,8 +159,6 @@ ValidationReport ValidateServablePlan(
 /// in cache::ValidateReuse, next to the catalog):
 ///  - only train transformer/gather nodes may carry reused/reuse_pruned
 ///    (estimators, sources, and placeholders never come from the catalog);
-///  - a reused node's recorded catalog key must equal its lineage
-///    fingerprint (reuse.fingerprint-mismatch);
 ///  - no executing train node may consume a reuse-pruned input — pruning
 ///    is only sound below a reused node (reuse.pruned-demand).
 /// Trivially clean for plans compiled without a catalog.

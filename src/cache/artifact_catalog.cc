@@ -410,6 +410,12 @@ bool ArtifactCatalog::LoadManifest() {
       const auto unescaped = UnescapeToken(key);
       if (!unescaped) return false;  // malformed escape: corrupt manifest
       m.key = *unescaped;
+      // Put only ever writes ObjectName(key) (or "-" for no spill). Any
+      // other token is corrupt, and trusting it would let Fetch read and
+      // Compact delete a path outside the objects directory.
+      if (object_file != "-" && object_file != ObjectName(m.key)) {
+        return false;
+      }
       max_access = std::max(max_access, m.last_access);
       // An entry is only usable when its spilled payload survived; a key
       // whose object file is missing (crash between payload write and
@@ -471,11 +477,11 @@ analysis::ValidationReport ValidateReuse(const PhysicalPlan& plan,
   const uint64_t generation = catalog.generation();
   for (const PlannedNode& pn : plan.nodes) {
     if (!pn.reused) continue;
-    const auto entry = catalog.Lookup(pn.reuse_fingerprint);
+    const auto entry = catalog.Lookup(pn.lineage_fingerprint);
     if (!entry.has_value()) {
       report.Add(Severity::kError, rules::kReuseMissingEntry, pn.id,
                  "reused node '" + pn.name + "' reads catalog entry \"" +
-                     pn.reuse_fingerprint + "\" which no longer exists");
+                     pn.lineage_fingerprint + "\" which no longer exists");
       continue;
     }
     if (entry->records != pn.full_records) {

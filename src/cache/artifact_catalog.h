@@ -132,7 +132,8 @@ class ArtifactCatalog {
   /// spilled payload is missing (e.g. a crash between payload write and
   /// manifest save) are dropped; a stray `manifest.tmp` from a killed save
   /// is ignored. False when no root is configured, the manifest is
-  /// missing, or any line is malformed.
+  /// missing, or any line is malformed — including an entry naming any
+  /// object file other than the one Put writes for its key.
   bool LoadManifest();
 
   // --- Introspection -----------------------------------------------------

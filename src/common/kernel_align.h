@@ -1,0 +1,12 @@
+#ifndef KEYSTONE_COMMON_KERNEL_ALIGN_H_
+#define KEYSTONE_COMMON_KERNEL_ALIGN_H_
+
+/// Starts a hot kernel's machine code on a 64-byte boundary. Without it the
+/// kernel's offset within its fetch block follows the size of whatever code
+/// the linker places ahead of it, so deleting unrelated code elsewhere moves
+/// the inner loops and shows up as a wall-clock change the kernel's own
+/// code never made. Marks the dense linear-algebra kernels and the sparse
+/// Gram loop a fit spends its time in.
+#define KS_KERNEL_ALIGN __attribute__((aligned(64)))
+
+#endif  // KEYSTONE_COMMON_KERNEL_ALIGN_H_

@@ -22,26 +22,15 @@ namespace cache {
 class ArtifactCatalog;
 }  // namespace cache
 
-/// How the PlanRunner evaluates fused regions of the physical plan.
-enum class ExecStyle {
-  /// Materialize every node's full output (the pre-fusion behavior; fused
-  /// regions are planned but executed node-at-a-time).
-  kWholeDataset,
-  /// Stream cache-resident chunks of max_batch_size records through each
-  /// fused region, materializing only the region tail.
-  kChunked,
-};
-
-/// Execution-style knobs, part of the shared environment: a PipelineExecutor
-/// or PipelineServer sets them once and every run (and every serving
-/// request context minted via MakeRequestContext) inherits them. Chunked
-/// and whole-dataset execution are byte-identical in every observable
-/// effect — the knob trades peak intermediate memory against chunk-loop
-/// overhead, never results.
+/// Execution knobs, part of the shared environment: a PipelineExecutor or
+/// PipelineServer sets them once and every run (and every serving request
+/// context minted via MakeRequestContext) inherits them. Whether a chain
+/// streams at all is the plan's decision (OptimizationConfig::
+/// operator_fusion records fused regions, and a plan without them runs node
+/// by node); these knobs only shape how fused regions stream, never results.
 struct ExecOptions {
-  /// Records per chunk when streaming a fused region (chunked style).
+  /// Records per chunk when streaming a fused region.
   size_t max_batch_size = 1024;
-  ExecStyle style = ExecStyle::kChunked;
 };
 
 /// Everything an operator needs at execution time: the cluster description,
@@ -104,17 +93,17 @@ class ExecContext {
   obs::TelemetryHub* telemetry() const { return telemetry_; }
   void set_telemetry(obs::TelemetryHub* telemetry) { telemetry_ = telemetry; }
 
-  /// Execution-style knobs (chunked vs whole-dataset, chunk size).
+  /// Execution knobs (the fused-region chunk size).
   const ExecOptions& exec_options() const { return exec_options_; }
   void set_exec_options(const ExecOptions& options) {
     exec_options_ = options;
   }
 
   /// Optional cross-run artifact catalog (src/cache). Null by default —
-  /// cross-run reuse is opt-in. When set (and the plan's
-  /// OptimizationConfig::cross_run_reuse is on), the ReusePass rewrites
-  /// fingerprint-matching nodes into catalog reads and the fit pass
-  /// publishes eligible intermediates back into it. Borrowed, not owned.
+  /// attaching one is how a run opts into cross-run reuse: the ReusePass
+  /// rewrites fingerprint-matching nodes into catalog reads and the fit
+  /// pass publishes eligible intermediates back into it, at every
+  /// optimization level. Borrowed, not owned.
   cache::ArtifactCatalog* artifact_catalog() const { return catalog_; }
   void set_artifact_catalog(cache::ArtifactCatalog* catalog) {
     catalog_ = catalog;

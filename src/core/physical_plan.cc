@@ -137,7 +137,6 @@ OptimizationConfig OptimizationConfig::None() {
   cfg.common_subexpression = false;
   cfg.cache_policy = CachePolicy::kNone;
   cfg.operator_fusion = false;
-  cfg.cross_run_reuse = false;
   return cfg;
 }
 
@@ -253,7 +252,7 @@ std::string PhysicalPlan::ToString(bool runtime_only) const {
          << HumanBytes(pn.profile.bytes_per_record) << "/rec";
     }
     if (pn.reused) {
-      os << "\n      reuse: key=\"" << pn.reuse_fingerprint << "\" gen="
+      os << "\n      reuse: key=\"" << pn.lineage_fingerprint << "\" gen="
          << pn.reuse_generation << " load="
          << HumanSeconds(pn.reuse_load_seconds) << " "
          << HumanBytes(pn.reuse_bytes);
@@ -292,7 +291,7 @@ std::string PhysicalPlan::ToString(bool runtime_only) const {
       for (int t : terminals) os << " " << t;
       os << "\n";
     }
-    if (decision_log != nullptr && !decision_log->Empty()) {
+    if (!decision_log->Empty()) {
       os << decision_log->ToString();
     }
   }
@@ -347,7 +346,7 @@ std::string PhysicalPlan::ToJson(bool runtime_only) const {
     // compiled without a catalog keep their exact prior JSON shape.
     if (pn.reused) {
       os << ",\"reused\":true,\"reuse\":{\"fingerprint\":\""
-         << JsonEscape(pn.reuse_fingerprint) << "\",\"generation\":"
+         << JsonEscape(pn.lineage_fingerprint) << "\",\"generation\":"
          << pn.reuse_generation << ",\"tier\":\"" << JsonEscape(pn.reuse_tier)
          << "\",\"load_seconds\":" << JsonNumber(pn.reuse_load_seconds)
          << ",\"bytes\":" << JsonNumber(pn.reuse_bytes) << "}";
@@ -387,7 +386,7 @@ std::string PhysicalPlan::ToJson(bool runtime_only) const {
        << ",\"est_saved_bytes\":" << JsonNumber(region.est_saved_bytes) << "}";
   }
   if (any_region) os << "]";
-  if (!runtime_only && decision_log != nullptr && !decision_log->Empty()) {
+  if (!runtime_only && !decision_log->Empty()) {
     os << ",\"decision_log\":" << decision_log->ToJson();
   }
   os << "}";
@@ -404,7 +403,6 @@ PhysicalPlan LowerToPhysical(std::shared_ptr<PipelineGraph> graph,
   plan.sink = sink;
   plan.config = config;
   plan.resources = resources;
-  plan.decision_log = std::make_shared<obs::OptimizerDecisionLog>();
   RelowerPlan(&plan);
   return plan;
 }

@@ -43,16 +43,9 @@ struct OptimizationConfig {
   /// Profile on samples and plan materialization (§4.1/§4.3).
   CachePolicy cache_policy = CachePolicy::kGreedy;
 
-  /// Fraction of cluster memory available to the cache.
-  double cache_fraction = 0.9;
-
-  /// Override: absolute cache budget in bytes (<0 means use cache_fraction).
+  /// Absolute cache budget in bytes; < 0 means kCacheFraction of cluster
+  /// memory.
   double cache_budget_bytes = -1.0;
-
-  /// Sample sizes for execution subsampling; the two points anchor the
-  /// linear extrapolation of per-node time and size (§5.4).
-  size_t profile_sample_small = 512;
-  size_t profile_sample_large = 1024;
 
   /// Seed the optimizer from the context's ProfileStore: stored observed
   /// costs correct operator-selection estimates, and when the store holds a
@@ -84,17 +77,20 @@ struct OptimizationConfig {
 
   /// Fuse eligible producer→consumer chains into fused regions that the
   /// runner streams chunk-at-a-time without materializing intermediates
-  /// (the SystemML-style operator-fusion pass). Results are byte-identical
-  /// with or without fusion; the flag trades peak intermediate memory
-  /// against chunk-loop overhead.
+  /// (the SystemML-style operator-fusion pass). The only fusion switch: a
+  /// plan without fused regions runs node by node. Results are
+  /// byte-identical with or without fusion; the flag trades peak
+  /// intermediate memory against chunk-loop overhead.
   bool operator_fusion = true;
 
-  /// Reuse materialized intermediates from the context's ArtifactCatalog
-  /// across runs (the Helix-style cross-run reuse pass). A no-op while the
-  /// ExecContext has no catalog attached; with one attached, the ReusePass
-  /// rewrites fingerprint-matching subgraphs into catalog reads and prunes
-  /// the upstream chains they replace.
-  bool cross_run_reuse = true;
+  /// Fraction of cluster memory the cache gets when cache_budget_bytes < 0.
+  static constexpr double kCacheFraction = 0.9;
+
+  /// Sample sizes for execution subsampling; the two points anchor the
+  /// linear extrapolation of per-node time and size (§5.4), and ProfileStore
+  /// node keys carry them as their "@512"/"@1024" suffixes.
+  static constexpr size_t kProfileSampleSmall = 512;
+  static constexpr size_t kProfileSampleLarge = 1024;
 
   /// Unoptimized execution (None in Figure 9).
   static OptimizationConfig None();
@@ -206,16 +202,16 @@ struct PlannedNode {
 
   /// Cross-run reuse markers (set by the ReusePass when the context has an
   /// ArtifactCatalog). `reused`: the runner loads this node's output from
-  /// the catalog instead of computing it. `reuse_pruned`: every train
-  /// demand for this node is satisfied through reused descendants, so the
-  /// fit pass skips it entirely. The train/runtime masks are untouched —
-  /// serving still executes the node.
+  /// the catalog entry keyed by its lineage_fingerprint instead of
+  /// computing it. `reuse_pruned`: every train demand for this node is
+  /// satisfied through reused descendants, so the fit pass skips it
+  /// entirely. The train/runtime masks are untouched — serving still
+  /// executes the node.
   bool reused = false;
   bool reuse_pruned = false;
   /// Catalog entry metadata backing a `reused` node (for validation and
-  /// the decision log): the matched key, its generation, modeled load
-  /// seconds, payload bytes, and tier ("memory"/"disk") at decision time.
-  std::string reuse_fingerprint;
+  /// the decision log): its generation, modeled load seconds, payload
+  /// bytes, and tier ("memory"/"disk") at decision time.
   uint64_t reuse_generation = 0;
   double reuse_load_seconds = 0.0;
   double reuse_bytes = 0.0;
@@ -278,9 +274,11 @@ struct PhysicalPlan {
   MaterializationProblem planning_problem;
 
   /// Structured provenance of every optimizer decision made while compiling
-  /// this plan (LowerToPhysical creates it; the passes append; RelowerPlan
-  /// preserves it). Shared so reports can outlive the plan.
-  std::shared_ptr<obs::OptimizerDecisionLog> decision_log;
+  /// this plan (never null: every plan starts with an empty log; the passes
+  /// append; RelowerPlan preserves it). Shared so reports can outlive the
+  /// plan.
+  std::shared_ptr<obs::OptimizerDecisionLog> decision_log =
+      std::make_shared<obs::OptimizerDecisionLog>();
 
   /// Sets the chosen physical option for node `id` and every node sharing
   /// the same Optimizable operator instance (train-time copies and their

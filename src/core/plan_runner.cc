@@ -157,11 +157,11 @@ void PlanRunner::ExecuteNode(int id) {
     KS_CHECK(catalog != nullptr)
         << "node " << pn.name << " marked reused without a catalog";
     Timer timer;
-    outputs_[id] = catalog->Fetch(pn.reuse_fingerprint);
+    outputs_[id] = catalog->Fetch(pn.lineage_fingerprint);
     span.wall_seconds = timer.ElapsedSeconds();
     KS_CHECK(outputs_[id] != nullptr)
         << "catalog entry vanished for node " << pn.name << " ("
-        << pn.reuse_fingerprint << ")";
+        << pn.lineage_fingerprint << ")";
     out.out_stats = outputs_[id]->ComputeStats();
     const double per_node_bytes =
         out.out_stats.TotalBytes() / std::max(1, resources.num_nodes);
@@ -289,8 +289,6 @@ void PlanRunner::ExecuteNode(int id) {
 }
 
 bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
-  if (InProfileMode()) return false;
-  if (ctx_->exec_options().style != ExecStyle::kChunked) return false;
   const auto& resources = ctx_->resources();
   const int head = region.nodes.front();
   const int tail = region.nodes.back();
@@ -495,19 +493,17 @@ void PlanRunner::SimulateFaults(int id) {
     }
     metrics->Observe("faults.recovery_seconds", out.fault.overhead_seconds);
   }
-  if (plan_->decision_log != nullptr) {
-    for (const faults::FaultEvent& event : out.fault.events) {
-      obs::RecoveryDecision decision;
-      decision.node_id = id;
-      decision.node_name = pn.name;
-      decision.kind = faults::FaultEventKindName(event.kind);
-      decision.attempt = event.attempt;
-      decision.cache_recovery = event.cache_recovery;
-      decision.wasted_seconds = event.wasted_seconds;
-      decision.backoff_seconds = event.backoff_seconds;
-      decision.recovery_seconds = event.recovery_seconds;
-      plan_->decision_log->RecordRecovery(std::move(decision));
-    }
+  for (const faults::FaultEvent& event : out.fault.events) {
+    obs::RecoveryDecision decision;
+    decision.node_id = id;
+    decision.node_name = pn.name;
+    decision.kind = faults::FaultEventKindName(event.kind);
+    decision.attempt = event.attempt;
+    decision.cache_recovery = event.cache_recovery;
+    decision.wasted_seconds = event.wasted_seconds;
+    decision.backoff_seconds = event.backoff_seconds;
+    decision.recovery_seconds = event.recovery_seconds;
+    plan_->decision_log->RecordRecovery(std::move(decision));
   }
 }
 
@@ -614,7 +610,7 @@ void PlanRunner::FlushOutcome(int id) {
   if (mode_ == ExecMode::kFit && ctx_->artifact_catalog() != nullptr) {
     cache::ArtifactCatalog* catalog = ctx_->artifact_catalog();
     if (pn.reused) {
-      catalog->Touch(pn.reuse_fingerprint);
+      catalog->Touch(pn.lineage_fingerprint);
       if (ctx_->metrics() != nullptr) {
         ctx_->metrics()->Increment(pn.reuse_tier == "memory"
                                        ? "catalog.hits.memory"
@@ -779,8 +775,7 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
   // and gather outputs this fit computes (reused nodes are refreshed via
   // Touch instead). Decided once here so the id-ordered flush stays cheap.
   catalog_publish_.assign(n, false);
-  if (mode == ExecMode::kFit && plan_->config.cross_run_reuse &&
-      ctx_->artifact_catalog() != nullptr) {
+  if (mode == ExecMode::kFit && ctx_->artifact_catalog() != nullptr) {
     const std::vector<bool> pure = PureLineageMask(*plan_);
     for (int id : exec_ids) {
       const PlannedNode& pn = plan_->nodes[id];

@@ -129,13 +129,13 @@ class PlanRunner {
                        double scale, Invoke invoke);
 
   /// Streams cache-resident chunks of the region head's input through every
-  /// member's ApplyChunk, materializing only the tail output
-  /// (ExecStyle::kChunked). Fills each member's NodeOutcome so the flushed
-  /// effects are byte-identical to unfused whole-dataset execution. Returns
-  /// false — leaving all outcomes untouched — when the region cannot stream
-  /// (whole-dataset style, unchunkable input, or an operator without
-  /// chunked apply), in which case the caller executes members node by
-  /// node.
+  /// member's ApplyChunk, materializing only the tail output (fit and apply
+  /// modes; ExecuteNode never calls it in the profile passes). Fills each
+  /// member's NodeOutcome so the flushed effects are byte-identical to
+  /// unfused whole-dataset execution. Returns false — leaving all outcomes
+  /// untouched — when the region cannot stream (unchunkable input, or an
+  /// operator without chunked apply), in which case the caller executes
+  /// members node by node.
   bool TryExecuteFusedRegion(const FusedRegion& region);
 
   /// Virtual seconds to re-produce node `id`'s output during recovery:
@@ -156,8 +156,8 @@ class PlanRunner {
   }
   size_t SampleSize() const {
     return mode_ == ExecMode::kProfileSmall
-               ? plan_->config.profile_sample_small
-               : plan_->config.profile_sample_large;
+               ? OptimizationConfig::kProfileSampleSmall
+               : OptimizationConfig::kProfileSampleLarge;
   }
 
   PhysicalPlan* plan_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/kernel_align.h"
 
 namespace keystone {
 
@@ -13,7 +14,8 @@ constexpr size_t kBlockK = 64;
 constexpr size_t kBlockJ = 256;
 }  // namespace
 
-void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
+KS_KERNEL_ALIGN void GemmAccumulate(const Matrix& a, const Matrix& b,
+                                    Matrix* c) {
   KS_CHECK_EQ(a.cols(), b.rows());
   KS_CHECK_EQ(c->rows(), a.rows());
   KS_CHECK_EQ(c->cols(), b.cols());
@@ -43,13 +45,13 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
-Matrix Gemm(const Matrix& a, const Matrix& b) {
+KS_KERNEL_ALIGN Matrix Gemm(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   GemmAccumulate(a, b, &c);
   return c;
 }
 
-Matrix GemmTransA(const Matrix& a, const Matrix& b) {
+KS_KERNEL_ALIGN Matrix GemmTransA(const Matrix& a, const Matrix& b) {
   KS_CHECK_EQ(a.rows(), b.rows());
   const size_t m = a.cols();
   const size_t n = b.cols();
@@ -69,7 +71,7 @@ Matrix GemmTransA(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix GemmTransB(const Matrix& a, const Matrix& b) {
+KS_KERNEL_ALIGN Matrix GemmTransB(const Matrix& a, const Matrix& b) {
   KS_CHECK_EQ(a.cols(), b.cols());
   const size_t m = a.rows();
   const size_t n = b.rows();
@@ -88,7 +90,7 @@ Matrix GemmTransB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix Gram(const Matrix& a) {
+KS_KERNEL_ALIGN Matrix Gram(const Matrix& a) {
   const size_t n = a.rows();
   const size_t d = a.cols();
   Matrix g(d, d);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/kernel_align.h"
 #include "src/linalg/gemm.h"
 
 namespace keystone {
@@ -77,7 +78,7 @@ QrResult HouseholderQr(const Matrix& a) {
   return result;
 }
 
-Matrix BackSubstitute(const Matrix& r, const Matrix& b) {
+KS_KERNEL_ALIGN Matrix BackSubstitute(const Matrix& r, const Matrix& b) {
   const size_t d = r.rows();
   KS_CHECK_EQ(r.cols(), d);
   KS_CHECK_EQ(b.rows(), d);
@@ -93,7 +94,7 @@ Matrix BackSubstitute(const Matrix& r, const Matrix& b) {
   return x;
 }
 
-Matrix ForwardSubstitute(const Matrix& l, const Matrix& b) {
+KS_KERNEL_ALIGN Matrix ForwardSubstitute(const Matrix& l, const Matrix& b) {
   const size_t d = l.rows();
   KS_CHECK_EQ(l.cols(), d);
   KS_CHECK_EQ(b.rows(), d);
@@ -116,7 +117,7 @@ Matrix LeastSquaresQr(const Matrix& a, const Matrix& b) {
   return BackSubstitute(qr.r, qtb);
 }
 
-bool Cholesky(const Matrix& a, Matrix* l, double jitter) {
+KS_KERNEL_ALIGN bool Cholesky(const Matrix& a, Matrix* l, double jitter) {
   const size_t n = a.rows();
   KS_CHECK_EQ(a.cols(), n);
   *l = Matrix(n, n);
@@ -135,7 +136,8 @@ bool Cholesky(const Matrix& a, Matrix* l, double jitter) {
   return true;
 }
 
-Matrix SolveSpd(const Matrix& a, const Matrix& b, double ridge) {
+KS_KERNEL_ALIGN Matrix SolveSpd(const Matrix& a, const Matrix& b,
+                                double ridge) {
   Matrix l;
   double jitter = ridge;
   for (int attempt = 0; attempt < 6; ++attempt) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/obs/metrics.h"
 
 namespace keystone {
 
@@ -76,10 +75,6 @@ PhysicalChoice ChooseOption(const std::vector<std::shared_ptr<Op>>& options,
     best.feasible = false;
   } else if (std::isfinite(runner_up_seconds) && best_seconds > 0) {
     best.margin = runner_up_seconds / best_seconds - 1.0;
-  }
-  if (best.history_corrected > 0) {
-    obs::MetricsRegistry::Global().Increment("optimizer.history_corrected",
-                                             best.history_corrected);
   }
   return best;
 }

@@ -18,7 +18,8 @@ struct PhysicalChoice {
   double estimated_seconds = 0.0;
   bool feasible = true;
   /// How many options were scored from observed history (a ProfileStore)
-  /// rather than the a-priori cost model.
+  /// rather than the a-priori cost model. ProfileAndSelectPass adds it to
+  /// the context's "optimizer.history_corrected" counter.
   int history_corrected = 0;
   /// Winner's margin over the runner-up among feasible options
   /// (runner_up_seconds / winner_seconds - 1); 0 with a single candidate.

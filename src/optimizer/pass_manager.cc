@@ -76,9 +76,9 @@ bool TryReuseStoredProfiles(PhysicalPlan* plan, ExecContext* ctx) {
   for (const PlannedNode& pn : plan->nodes) {
     if (!pn.train) continue;
     const auto large = store->NodeProfileFor(obs::ProfileStore::NodeKey(
-        pn.fingerprint, plan->config.profile_sample_large));
+        pn.fingerprint, OptimizationConfig::kProfileSampleLarge));
     const auto small = store->NodeProfileFor(obs::ProfileStore::NodeKey(
-        pn.fingerprint, plan->config.profile_sample_small));
+        pn.fingerprint, OptimizationConfig::kProfileSampleSmall));
     if (!large.has_value() || !small.has_value()) return false;
     if (large->chosen_option >= plan->NumOptions(pn.id)) return false;
     stored.push_back({pn.id, *small, *large});
@@ -124,21 +124,19 @@ void CsePass::Run(PhysicalPlan* plan, PassContext* pctx) {
   plan->cse_applied = true;
   RelowerPlan(plan);
 
-  if (plan->decision_log != nullptr) {
-    // Invert the remap into merge groups: every id folded into a survivor.
-    std::map<int, std::vector<int>> groups;
-    for (int id = 0; id < static_cast<int>(remap.size()); ++id) {
-      if (remap[id] != id) groups[remap[id]].push_back(id);
+  // Invert the remap into merge groups: every id folded into a survivor.
+  std::map<int, std::vector<int>> groups;
+  for (int id = 0; id < static_cast<int>(remap.size()); ++id) {
+    if (remap[id] != id) groups[remap[id]].push_back(id);
+  }
+  for (const auto& [survivor, merged] : groups) {
+    obs::CseMergeGroup group;
+    group.survivor = survivor;
+    group.merged = merged;
+    if (survivor >= 0 && survivor < static_cast<int>(plan->nodes.size())) {
+      group.fingerprint = plan->nodes[survivor].fingerprint;
     }
-    for (const auto& [survivor, merged] : groups) {
-      obs::CseMergeGroup group;
-      group.survivor = survivor;
-      group.merged = merged;
-      if (survivor >= 0 && survivor < static_cast<int>(plan->nodes.size())) {
-        group.fingerprint = plan->nodes[survivor].fingerprint;
-      }
-      plan->decision_log->RecordCseGroup(std::move(group));
-    }
+    plan->decision_log->RecordCseGroup(std::move(group));
   }
 }
 
@@ -153,20 +151,18 @@ void ProfileAndSelectPass::Run(PhysicalPlan* plan, PassContext* pctx) {
     if (ctx->metrics() != nullptr) {
       ctx->metrics()->Increment("profile_store.reuses");
     }
-    if (plan->decision_log != nullptr) {
-      // Selections replayed from the store still leave provenance: the
-      // chosen option per optimizable node, flagged as history-driven
-      // (no live alternatives were scored this run).
-      for (const PlannedNode& pn : plan->nodes) {
-        if (!pn.train || !pn.optimizable || pn.chosen_option < 0) continue;
-        obs::SelectionDecision decision;
-        decision.node_id = pn.id;
-        decision.node_name = pn.name;
-        decision.fingerprint = pn.fingerprint;
-        decision.chosen_option = pn.chosen_option;
-        decision.from_store = true;
-        plan->decision_log->RecordSelection(std::move(decision));
-      }
+    // Selections replayed from the store still leave provenance: the
+    // chosen option per optimizable node, flagged as history-driven (no
+    // live alternatives were scored this run).
+    for (const PlannedNode& pn : plan->nodes) {
+      if (!pn.train || !pn.optimizable || pn.chosen_option < 0) continue;
+      obs::SelectionDecision decision;
+      decision.node_id = pn.id;
+      decision.node_name = pn.name;
+      decision.fingerprint = pn.fingerprint;
+      decision.chosen_option = pn.chosen_option;
+      decision.from_store = true;
+      plan->decision_log->RecordSelection(std::move(decision));
     }
     // The skipped sampling passes still surface in reports and metrics:
     // one synthetic span per node per phase, reconstructed from the store.
@@ -200,17 +196,19 @@ void ProfileAndSelectPass::Run(PhysicalPlan* plan, PassContext* pctx) {
                                          ctx->resources(), history);
       }
       plan->SetChosenOption(id, choice.option_index);
-      if (plan->decision_log != nullptr) {
-        obs::SelectionDecision decision;
-        decision.node_id = id;
-        decision.node_name = pn.name;
-        decision.fingerprint = pn.fingerprint;
-        decision.chosen_option = choice.option_index;
-        decision.chosen_seconds = choice.estimated_seconds;
-        decision.margin = choice.margin;
-        decision.options = std::move(choice.scored);
-        plan->decision_log->RecordSelection(std::move(decision));
+      if (choice.history_corrected > 0 && ctx->metrics() != nullptr) {
+        ctx->metrics()->Increment("optimizer.history_corrected",
+                                  choice.history_corrected);
       }
+      obs::SelectionDecision decision;
+      decision.node_id = id;
+      decision.node_name = pn.name;
+      decision.fingerprint = pn.fingerprint;
+      decision.chosen_option = choice.option_index;
+      decision.chosen_seconds = choice.estimated_seconds;
+      decision.margin = choice.margin;
+      decision.options = std::move(choice.scored);
+      plan->decision_log->RecordSelection(std::move(decision));
     };
   }
   // Large pass selects; the small pass reuses its choices. Both record
@@ -283,7 +281,6 @@ std::vector<bool> ComputeDemanded(const PhysicalPlan& plan) {
 }  // namespace
 
 void ReusePass::Run(PhysicalPlan* plan, PassContext* pctx) {
-  if (!plan->config.cross_run_reuse) return;
   ExecContext* ctx = pctx->ctx;
   cache::ArtifactCatalog* catalog = ctx->artifact_catalog();
   if (catalog == nullptr) return;
@@ -330,9 +327,7 @@ void ReusePass::Run(PhysicalPlan* plan, PassContext* pctx) {
       // populated against different source data; never serve it.
       decision.reason = "cardinality mismatch";
       ++rejected;
-      if (plan->decision_log != nullptr) {
-        plan->decision_log->RecordReuseDecision(std::move(decision));
-      }
+      plan->decision_log->RecordReuseDecision(std::move(decision));
       continue;
     }
 
@@ -359,7 +354,6 @@ void ReusePass::Run(PhysicalPlan* plan, PassContext* pctx) {
     if (load < recompute) {
       decision.accepted = true;
       decision.pruned = prunable;
-      pn.reuse_fingerprint = pn.lineage_fingerprint;
       pn.reuse_generation = entry->generation;
       pn.reuse_load_seconds = load;
       pn.reuse_bytes = entry->bytes;
@@ -372,9 +366,7 @@ void ReusePass::Run(PhysicalPlan* plan, PassContext* pctx) {
       decision.reason = "catalog load costlier than recompute";
       ++rejected;
     }
-    if (plan->decision_log != nullptr) {
-      plan->decision_log->RecordReuseDecision(std::move(decision));
-    }
+    plan->decision_log->RecordReuseDecision(std::move(decision));
   }
   if (ctx->metrics() != nullptr) {
     if (accepted > 0) {
@@ -393,7 +385,8 @@ void MaterializationPass::Run(PhysicalPlan* plan, PassContext* pctx) {
   plan->cache_budget_bytes =
       config.cache_budget_bytes >= 0.0
           ? config.cache_budget_bytes
-          : config.cache_fraction * resources.ClusterMemoryBytes();
+          : OptimizationConfig::kCacheFraction *
+                resources.ClusterMemoryBytes();
 
   if (NeedsProfile(config)) ExtrapolateNodeEstimates(plan);
 
@@ -419,29 +412,23 @@ void MaterializationPass::Run(PhysicalPlan* plan, PassContext* pctx) {
     info.output_bytes = pn.est_output_bytes;
   }
   std::vector<obs::MaterializationStep> ledger;
-  auto* ledger_out = plan->decision_log != nullptr &&
-                             config.cache_policy == CachePolicy::kGreedy
-                         ? &ledger
-                         : nullptr;
   plan->cache_set = config.cache_policy == CachePolicy::kGreedy
-                        ? GreedyCacheSelection(problem, ledger_out)
+                        ? GreedyCacheSelection(problem, &ledger)
                         : ExhaustiveCacheSelection(problem);
   plan->materialized = true;
   for (PlannedNode& pn : plan->nodes) pn.cached = plan->cache_set[pn.id];
 
-  if (plan->decision_log != nullptr) {
-    for (auto& step : ledger) {
-      plan->decision_log->RecordMaterializationStep(std::move(step));
-    }
-    obs::MaterializationSummary summary;
-    summary.policy = CachePolicyName(config.cache_policy);
-    summary.budget_bytes = plan->cache_budget_bytes;
-    summary.initial_runtime = EstimateRuntime(
-        problem, std::vector<bool>(plan->nodes.size(), false));
-    summary.final_runtime = EstimateRuntime(problem, plan->cache_set);
-    for (bool cached : plan->cache_set) summary.cached_nodes += cached ? 1 : 0;
-    plan->decision_log->RecordMaterializationSummary(std::move(summary));
+  for (auto& step : ledger) {
+    plan->decision_log->RecordMaterializationStep(std::move(step));
   }
+  obs::MaterializationSummary summary;
+  summary.policy = CachePolicyName(config.cache_policy);
+  summary.budget_bytes = plan->cache_budget_bytes;
+  summary.initial_runtime = EstimateRuntime(
+      problem, std::vector<bool>(plan->nodes.size(), false));
+  summary.final_runtime = EstimateRuntime(problem, plan->cache_set);
+  for (bool cached : plan->cache_set) summary.cached_nodes += cached ? 1 : 0;
+  plan->decision_log->RecordMaterializationSummary(std::move(summary));
 }
 
 namespace {
@@ -476,9 +463,7 @@ void JudgeSegment(PhysicalPlan* plan, int candidate_index,
     decision.reason = reason.empty()
                           ? "segment too short to fuse"
                           : reason + "; remaining segment too short";
-    if (plan->decision_log != nullptr) {
-      plan->decision_log->RecordFusionDecision(std::move(decision));
-    }
+    plan->decision_log->RecordFusionDecision(std::move(decision));
     return;
   }
   // Avoided intermediate traffic: every interior edge skips one
@@ -526,9 +511,7 @@ void JudgeSegment(PhysicalPlan* plan, int candidate_index,
     decision.est_saved_bytes = saved_bytes;
     plan->fused_regions.push_back(std::move(region));
   }
-  if (plan->decision_log != nullptr) {
-    plan->decision_log->RecordFusionDecision(std::move(decision));
-  }
+  plan->decision_log->RecordFusionDecision(std::move(decision));
 }
 
 }  // namespace

@@ -67,9 +67,9 @@ class ProfileAndSelectPass : public PlanPass {
   void Run(PhysicalPlan* plan, PassContext* pctx) override;
 };
 
-/// Cross-run reuse (the Helix-style rewrite): when the context carries an
-/// ArtifactCatalog and OptimizationConfig::cross_run_reuse is on, matches
-/// train transformer/gather nodes whose lineage fingerprint has a catalog
+/// Cross-run reuse (the Helix-style rewrite): whenever the context carries
+/// an ArtifactCatalog, at every optimization level, matches train
+/// transformer/gather nodes whose lineage fingerprint has a catalog
 /// entry, prices catalog load against recompute (the node plus every
 /// upstream node the rewrite would leave undemanded), and rewrites winners
 /// into catalog reads — marking the node `reused` and the undemanded chain

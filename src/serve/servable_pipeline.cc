@@ -13,16 +13,13 @@ namespace keystone {
 namespace serve {
 
 ServablePipeline::ServablePipeline(
-    std::shared_ptr<FittedPipelineUntyped> fitted, bool validate,
-    bool use_static_prior)
+    std::shared_ptr<FittedPipelineUntyped> fitted, bool use_static_prior)
     : fitted_(std::move(fitted)) {
   KS_CHECK(fitted_ != nullptr);
   const PhysicalPlan& plan = fitted_->plan();
-  if (validate) {
-    const analysis::ValidationReport report =
-        analysis::ValidateServablePlan(plan, &fitted_->models());
-    KS_CHECK(report.ok()) << "pipeline is not servable:\n" << report.ToString();
-  }
+  const analysis::ValidationReport report =
+      analysis::ValidateServablePlan(plan, &fitted_->models());
+  KS_CHECK(report.ok()) << "pipeline is not servable:\n" << report.ToString();
   // Every runtime node is one job submission: a scheduling round at the
   // cluster's round latency, independent of batch size.
   fixed_overhead_seconds_ =

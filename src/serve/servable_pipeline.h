@@ -25,17 +25,15 @@ namespace serve {
 /// mid-request.
 class ServablePipeline {
  public:
-  /// Wraps a fitted pipeline. With `validate` (the default), aborts unless
-  /// ValidateServablePlan passes against the plan and model map. With
-  /// `use_static_prior` (the default), the per-record cost estimate is
-  /// seeded from the plan's static dataflow annotations
-  /// (analysis::StaticServingSecondsPerRecord) instead of starting at zero,
-  /// so admission control predicts real service times from the very first
-  /// batch; observations then refine the prior by EWMA as before. Plans
-  /// without annotations silently fall back to the observe-first cold
-  /// start.
+  /// Wraps a fitted pipeline; aborts unless ValidateServablePlan passes
+  /// against the plan and model map. With `use_static_prior` (the
+  /// default), the per-record cost estimate is seeded from the plan's
+  /// static dataflow annotations (analysis::StaticServingSecondsPerRecord)
+  /// instead of starting at zero, so admission control predicts real
+  /// service times from the very first batch; observations then refine the
+  /// prior by EWMA as before. Plans without annotations silently fall back
+  /// to the observe-first cold start.
   explicit ServablePipeline(std::shared_ptr<FittedPipelineUntyped> fitted,
-                            bool validate = true,
                             bool use_static_prior = true);
 
   /// Runs the runtime path over one micro-batch on `request_ctx` (a

@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/kernel_align.h"
 #include "src/linalg/gemm.h"
 #include "src/linalg/qr.h"
 #include "src/solvers/lbfgs.h"
@@ -82,9 +83,11 @@ std::optional<CostProfile> SparseExactSolver::FitCost(
   return solver_costs::LocalExact(shape.n, shape.d, shape.k, shape.s);
 }
 
-Fitted<Transformer<SparseVector, DenseVec>> SparseExactSolver::Fit(
-    const DistDataset<SparseVector>& data, const DistDataset<DenseVec>& labels,
-    ExecContext* ctx) const {
+// Aligned: the CSR Gram accumulation below is the fit's hot loop.
+KS_KERNEL_ALIGN Fitted<Transformer<SparseVector, DenseVec>>
+SparseExactSolver::Fit(const DistDataset<SparseVector>& data,
+                       const DistDataset<DenseVec>& labels,
+                       ExecContext* ctx) const {
   const CostProfile cost = *FitCost(data, labels, ctx);
   const size_t d = SparseFeatureDim(data);
   const SparseMatrix a = AssembleSparse(data, d);

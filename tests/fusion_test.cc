@@ -107,14 +107,12 @@ TEST(ChunkTest, GatherDoesNotSupportChunkedApply) {
 
 TEST(ExecOptionsTest, RequestContextInheritsExecOptions) {
   ExecContext ctx(TestCluster());
-  EXPECT_EQ(ctx.exec_options().style, ExecStyle::kChunked);
+  EXPECT_EQ(ctx.exec_options().max_batch_size, 1024u);
   ExecOptions opts;
   opts.max_batch_size = 7;
-  opts.style = ExecStyle::kWholeDataset;
   ctx.set_exec_options(opts);
   const auto request = ctx.MakeRequestContext();
   EXPECT_EQ(request->exec_options().max_batch_size, 7u);
-  EXPECT_EQ(request->exec_options().style, ExecStyle::kWholeDataset);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +223,14 @@ TEST(FusionValidationTest, CatchesCorruptedRegions) {
 
 // ---------------------------------------------------------------------------
 // Fused chunked execution == unfused whole-dataset execution, byte for byte.
+// The unfused run compiles with operator_fusion off: a plan without fused
+// regions executes node by node.
 // ---------------------------------------------------------------------------
+
+OptimizationConfig Unfused(OptimizationConfig config) {
+  config.operator_fusion = false;
+  return config;
+}
 
 struct RunObservation {
   std::vector<double> one_output;
@@ -277,13 +282,11 @@ void ExpectIdentical(const RunObservation& a, const RunObservation& b) {
 }
 
 TEST(FusedExecutionTest, ChunkedMatchesWholeDataset) {
-  ExecOptions whole;
-  whole.style = ExecStyle::kWholeDataset;
-  const RunObservation unfused = RunChain(OptimizationConfig::Full(), whole);
+  const RunObservation unfused =
+      RunChain(Unfused(OptimizationConfig::Full()), ExecOptions());
   EXPECT_EQ(unfused.fused_regions_metric, 0.0);
   for (size_t batch : {size_t{1}, size_t{3}, size_t{1u << 20}}) {
     ExecOptions chunked;
-    chunked.style = ExecStyle::kChunked;
     chunked.max_batch_size = batch;  // non-divisible, tiny, > dataset
     const RunObservation fused = RunChain(OptimizationConfig::Full(), chunked);
     EXPECT_GT(fused.fused_regions_metric, 0.0) << "batch " << batch;
@@ -294,11 +297,10 @@ TEST(FusedExecutionTest, ChunkedMatchesWholeDataset) {
 TEST(FusedExecutionTest, ChunkedMatchesWholeDatasetSerially) {
   OptimizationConfig serial = OptimizationConfig::Full();
   serial.parallel_branches = false;
-  ExecOptions whole;
-  whole.style = ExecStyle::kWholeDataset;
   ExecOptions chunked;
   chunked.max_batch_size = 3;
-  ExpectIdentical(RunChain(serial, whole), RunChain(serial, chunked));
+  ExpectIdentical(RunChain(Unfused(serial), chunked),
+                  RunChain(serial, chunked));
   // ... and the serial fused run matches the parallel fused run.
   ExpectIdentical(RunChain(serial, chunked),
                   RunChain(OptimizationConfig::Full(), chunked));
@@ -321,25 +323,26 @@ TEST(FusedExecutionTest, ShippedWorkloadsByteIdentical) {
     std::string timelines[2];
     std::vector<std::string> spans[2];
     double ledgers[2] = {0, 0};
-    for (int style = 0; style < 2; ++style) {
+    for (int fused = 0; fused < 2; ++fused) {
       obs::TraceRecorder recorder;
       obs::ResourceTimeline timeline;
-      PipelineExecutor executor(TestCluster(), OptimizationConfig::Full());
+      PipelineExecutor executor(TestCluster(),
+                                fused ? OptimizationConfig::Full()
+                                      : Unfused(OptimizationConfig::Full()));
       executor.context()->set_tracer(&recorder);
       executor.context()->set_timeline(&timeline);
       ExecOptions opts;
-      opts.style = style == 0 ? ExecStyle::kWholeDataset : ExecStyle::kChunked;
       opts.max_batch_size = 5;  // non-divisible on the 32-record corpora
       executor.context()->set_exec_options(opts);
       PipelineReport report;
       executor.FitGraph(*target.graph, target.placeholder, target.sink,
                         &report);
-      reports[style] = report.ToString();
-      timelines[style] = timeline.ToJson();
+      reports[fused] = report.ToString();
+      timelines[fused] = timeline.ToJson();
       for (const auto& span : recorder.Spans()) {
-        spans[style].push_back(span.name);
+        spans[fused].push_back(span.name);
       }
-      ledgers[style] = executor.context()->ledger()->TotalSeconds();
+      ledgers[fused] = executor.context()->ledger()->TotalSeconds();
     }
     EXPECT_EQ(reports[0], reports[1]) << target.name;
     EXPECT_EQ(timelines[0], timelines[1]) << target.name;

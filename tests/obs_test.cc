@@ -644,6 +644,35 @@ TEST(ProfileStoreTest, OutOfRangeStoredChoiceSamplesLive) {
   std::remove(path.c_str());
 }
 
+TEST(OptimizerHistoryTest, HistoryCorrectionsCountOnTheContextRegistry) {
+  // Two compiles share one store: the second, at a wider hash width, scores
+  // options from the first one's observed history. That correction counts
+  // on the compiling context's metrics sink, never on the process-wide
+  // registry.
+  LinearSolverConfig solver;
+  solver.num_classes = 2;
+  const workloads::TextCorpus corpus = workloads::AmazonLike(64, 8, 10, 200, 7);
+  OptimizationConfig config = OptimizationConfig::Full();
+  config.reuse_stored_profiles = true;
+  obs::ProfileStore store;
+  obs::MetricsRegistry metrics;
+  const auto compile = [&](size_t hash_width) {
+    const auto pipe =
+        workloads::BuildAmazonPipeline(corpus, hash_width, solver);
+    PipelineExecutor executor(TestCluster(), config);
+    executor.context()->set_profile_store(&store);
+    executor.context()->set_metrics(&metrics);
+    executor.Compile(*pipe.graph(), pipe.source(), pipe.sink());
+  };
+  const obs::Counter* global = obs::MetricsRegistry::Global().GetCounter(
+      "optimizer.history_corrected");
+  const double global_before = global->Value();
+  compile(128);
+  compile(256);
+  EXPECT_GT(metrics.GetCounter("optimizer.history_corrected")->Value(), 0.0);
+  EXPECT_EQ(global->Value(), global_before);
+}
+
 TEST(JsonEscapingTest, MetricNamesWithSpecialCharactersStayValidJson) {
   // Regression: metric names flow into ToJson verbatim as object keys, so
   // quotes, backslashes, and control characters must be escaped.

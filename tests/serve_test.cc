@@ -171,8 +171,7 @@ TEST(ServablePipelineTest, FixedOverheadIsPerRuntimeNode) {
 
 TEST(ServablePipelineTest, CalibrationConvergesToObservedRate) {
   // Static prior off: the observe-first cold start (snap, then EWMA).
-  ServablePipeline servable(FitAffine(1.0, 0.0), /*validate=*/true,
-                            /*use_static_prior=*/false);
+  ServablePipeline servable(FitAffine(1.0, 0.0), /*use_static_prior=*/false);
   EXPECT_FALSE(servable.has_static_prior());
   EXPECT_DOUBLE_EQ(servable.per_record_seconds(), 0.0);
   servable.ObserveBatch(10, 1.0);  // 0.1 s/record
@@ -198,8 +197,7 @@ TEST(ServablePipelineTest, StaticPriorSeedsAdmissionPredictor) {
 
 TEST(ServablePipelineTest, StaticPriorReachesSteadyStateEarlier) {
   auto fitted = FitAffine(1.0, 0.0);
-  ServablePipeline cold(fitted, /*validate=*/true,
-                        /*use_static_prior=*/false);
+  ServablePipeline cold(fitted, /*use_static_prior=*/false);
   ServablePipeline seeded(fitted);
   ASSERT_TRUE(seeded.has_static_prior());
   // Feed both predictors the same steady workload: batches of 8 records
