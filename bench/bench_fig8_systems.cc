@@ -37,42 +37,6 @@ double KeystoneSeconds(const DataStats& stats, bool sparse,
           stats, cluster.num_nodes));
 }
 
-double VwSeconds(const DataStats& stats,
-                 const ClusterResourceDescriptor& cluster) {
-  // SGD needs many more passes than L-BFGS to reach the same loss; 50
-  // passes of normalized SGD with model averaging between passes.
-  CostProfile cost;
-  const int passes = 50;
-  const double w = cluster.num_nodes;
-  cost.flops = passes * 4.0 * stats.num_records * stats.avg_nnz * 2.0 / w;
-  cost.bytes = passes * 8.0 * stats.num_records * stats.avg_nnz / w;
-  cost.network = passes * 8.0 * stats.dim * 2.0;
-  cost.rounds = 2.0 * passes;
-  return cluster.SecondsFor(cost);
-}
-
-double SystemMlSeconds(const DataStats& stats,
-                       const ClusterResourceDescriptor& cluster) {
-  const int iterations = 10;
-  // Generic block-matrix operators pay a constant-factor penalty over the
-  // specialized kernels (the paper measures SystemML's solve step alone at
-  // ~1.5x and the end-to-end run far slower due to the conversion stage).
-  const double kBlockOverhead = 3.0;
-  const double w = cluster.num_nodes;
-  CostProfile cost;
-  // Conversion: scan, serialize and shuffle into the block-matrix format.
-  cost.bytes = 3.0 * 8.0 * stats.num_records * stats.avg_nnz / w;
-  cost.network = 8.0 * stats.num_records * stats.avg_nnz / w;
-  cost.rounds = 4.0;
-  cost.flops = kBlockOverhead * iterations * 4.0 * stats.num_records *
-               stats.avg_nnz * 2.0 / w;
-  cost.bytes += kBlockOverhead * iterations * 8.0 * stats.num_records *
-                stats.avg_nnz / w;
-  cost.network += iterations * 8.0 * stats.dim * 2.0;
-  cost.rounds += 2.0 * iterations;
-  return cluster.SecondsFor(cost);
-}
-
 void Panel(const char* title, bool sparse, double n, double avg_nnz) {
   const auto cluster = ClusterResourceDescriptor::C3_4xlarge(16);
   std::printf("\n-- %s --\n", title);
@@ -87,9 +51,16 @@ void Panel(const char* title, bool sparse, double n, double avg_nnz) {
     stats.avg_nnz = sparse ? std::min(avg_nnz, d) : d;
     stats.sparsity = stats.avg_nnz / d;
     stats.bytes_per_record = stats.avg_nnz * (sparse ? 12.0 : 8.0);
+    // SGD needs many more passes than L-BFGS to reach the same loss: 50
+    // passes of normalized SGD; SystemML runs 10 CG iterations.
+    const double vw = cluster.SecondsFor(
+        baselines::VwLikeCost(stats.num_records, stats.dim, 2, stats.avg_nnz,
+                              50, cluster.num_nodes));
+    const double sysml = cluster.SecondsFor(
+        baselines::SystemMlLikeCost(stats.num_records, stats.dim, 2,
+                                    stats.avg_nnz, 10, cluster.num_nodes));
     std::printf("%10.0f %14.1f %16.1f %14.1f\n", d,
-                KeystoneSeconds(stats, sparse, cluster),
-                VwSeconds(stats, cluster), SystemMlSeconds(stats, cluster));
+                KeystoneSeconds(stats, sparse, cluster), vw, sysml);
   }
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: repo lint, tier-1 verification with warnings-as-errors,
-# a build of the perfbench wall-clock benchmark plus its arithmetic tests,
+# a build of the perfbench wall-clock benchmark plus its arithmetic tests
+# and a one-second self-checked run of each of its workloads,
 # the pipeline_lint static-analysis pass, the explain observability pass
 # (decision provenance + calibration over every shipped workload), the
 # serving smoke gate (determinism + batching-throughput checks), the
@@ -117,6 +118,28 @@ cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build/perfbench -j"$(nproc)" \
   --target perfbench_harness perfbench_math_test
 ./build/perfbench/perfbench_math_test
+
+echo "=== benchmark: perfbench harness, 1 s per workload, untraced + traced ==="
+# Runs each BENCHMARK.json workload briefly and fails unless the harness
+# reports "correct":true and "failed":0. Its checks run nowhere else in CI:
+# among them, the traced one-pass-at-a-time compile must match Compile, and
+# tuning_warm's warm fits must be byte-identical to cold ones.
+workloads=$(python3 -c 'import json
+spec = json.load(open("BENCHMARK.json"))
+print(" ".join(w["name"] for w in spec["workloads"]))')
+for workload in $workloads; do
+  for trace in 0 1; do
+    result=$(./build/perfbench/perfbench_harness --workload "$workload" \
+      --seed 1 --seconds 1 --trace "$trace" \
+      --trace-dir build/perfbench/traces | tail -n 1)
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+      echo "perfbench $workload --trace $trace failed its checks: $result" >&2
+      exit 1
+    fi
+  done
+done
 
 echo "=== static analysis: pipeline_lint over shipped workloads ==="
 # Structural + dataflow rules (shape.*, card.*, memory.*, effect.*) over

@@ -19,15 +19,21 @@ struct BaselineSolveResult {
   double train_loss = 0.0;  // mean squared loss
 };
 
-/// Vowpal-Wabbit-like: online SGD with per-feature adaptive (AdaGrad-style)
-/// learning rates, `passes` passes over the data, allreduce-style model
-/// averaging between passes. One-size-fits-all: never switches algorithms.
+/// Vowpal-Wabbit-like: online normalized LMS (SGD whose step is scaled by
+/// each example's squared norm), `passes` passes over the data,
+/// allreduce-style model averaging between passes. One-size-fits-all: never
+/// switches algorithms.
 BaselineSolveResult VwLikeSolve(const SparseMatrix& a, const Matrix& b,
                                 int passes,
                                 const ClusterResourceDescriptor& resources);
 BaselineSolveResult VwLikeSolveDense(
     const Matrix& a, const Matrix& b, int passes,
     const ClusterResourceDescriptor& resources);
+
+/// Cluster cost of VwLikeSolve on n examples with d features, k label
+/// columns and s non-zeros per example, spread over `workers` nodes.
+CostProfile VwLikeCost(double n, double d, double k, double s, int passes,
+                       int workers);
 
 /// SystemML-like: conjugate gradient on the normal equations (the linear
 /// algebra plan SystemML compiles for least squares), preceded by a data
@@ -39,6 +45,12 @@ BaselineSolveResult SystemMlLikeSolve(
 BaselineSolveResult SystemMlLikeSolveDense(
     const Matrix& a, const Matrix& b, int iterations,
     const ClusterResourceDescriptor& resources);
+
+/// Cluster cost of SystemMlLikeSolve (arguments as for VwLikeCost): the
+/// conversion stage plus `iterations` CG steps run as generic block-matrix
+/// operators.
+CostProfile SystemMlLikeCost(double n, double d, double k, double s,
+                             int iterations, int workers);
 
 /// TensorFlow-like distributed minibatch-SGD scaling model for the CIFAR
 /// time-to-84%-accuracy comparison (Table 6). Calibrated to the published

@@ -5,8 +5,9 @@
 /// kernel's offset within its fetch block follows the size of whatever code
 /// the linker places ahead of it, so deleting unrelated code elsewhere moves
 /// the inner loops and shows up as a wall-clock change the kernel's own
-/// code never made. Marks the dense linear-algebra kernels and the sparse
-/// Gram loop a fit spends its time in.
+/// code never made. Marks the linear-algebra kernels a fit spends its time
+/// in: the dense kernels and the CSR Gram (SparseMatrix::Gram), all in
+/// src/linalg.
 #define KS_KERNEL_ALIGN __attribute__((aligned(64)))
 
 #endif  // KEYSTONE_COMMON_KERNEL_ALIGN_H_

@@ -228,7 +228,9 @@ std::string PhysicalPlan::ToString(bool runtime_only) const {
     if (pn.runtime) os << " runtime";
     if (pn.cached) os << " cached";
     if (pn.fused_region >= 0) os << " fused=r" << pn.fused_region;
-    if (pn.reused) os << " reused(" << pn.reuse_tier << ")";
+    if (pn.reused) {
+      os << " reused(" << decision_log->AcceptedReuse(pn.id).tier << ")";
+    }
     if (pn.reuse_pruned) os << " reuse-pruned";
     os << "\n      fp=\"" << pn.fingerprint << "\" inputs=[";
     for (size_t i = 0; i < pn.inputs.size(); ++i) {
@@ -252,10 +254,11 @@ std::string PhysicalPlan::ToString(bool runtime_only) const {
          << HumanBytes(pn.profile.bytes_per_record) << "/rec";
     }
     if (pn.reused) {
+      const obs::ReuseDecision reuse = decision_log->AcceptedReuse(pn.id);
       os << "\n      reuse: key=\"" << pn.lineage_fingerprint << "\" gen="
-         << pn.reuse_generation << " load="
-         << HumanSeconds(pn.reuse_load_seconds) << " "
-         << HumanBytes(pn.reuse_bytes);
+         << reuse.entry_generation << " load="
+         << HumanSeconds(reuse.load_seconds) << " "
+         << HumanBytes(reuse.entry_bytes);
     }
     if (pn.dataflow_annotated) {
       os << "\n      dataflow: shape=" << pn.inferred_shape.ToString()
@@ -345,11 +348,12 @@ std::string PhysicalPlan::ToJson(bool runtime_only) const {
     // Reuse markers render only when the ReusePass set them, so plans
     // compiled without a catalog keep their exact prior JSON shape.
     if (pn.reused) {
+      const obs::ReuseDecision reuse = decision_log->AcceptedReuse(pn.id);
       os << ",\"reused\":true,\"reuse\":{\"fingerprint\":\""
          << JsonEscape(pn.lineage_fingerprint) << "\",\"generation\":"
-         << pn.reuse_generation << ",\"tier\":\"" << JsonEscape(pn.reuse_tier)
-         << "\",\"load_seconds\":" << JsonNumber(pn.reuse_load_seconds)
-         << ",\"bytes\":" << JsonNumber(pn.reuse_bytes) << "}";
+         << reuse.entry_generation << ",\"tier\":\"" << JsonEscape(reuse.tier)
+         << "\",\"load_seconds\":" << JsonNumber(reuse.load_seconds)
+         << ",\"bytes\":" << JsonNumber(reuse.entry_bytes) << "}";
     }
     if (pn.reuse_pruned) os << ",\"reuse_pruned\":true";
     os << ",\"dataflow\":{\"annotated\":"

@@ -206,16 +206,11 @@ struct PlannedNode {
   /// computing it. `reuse_pruned`: every train demand for this node is
   /// satisfied through reused descendants, so the fit pass skips it
   /// entirely. The train/runtime masks are untouched — serving still
-  /// executes the node.
+  /// executes the node. The catalog entry behind a `reused` node (tier,
+  /// generation, bytes, priced load) is its accepted ReuseDecision:
+  /// decision_log->AcceptedReuse(id).
   bool reused = false;
   bool reuse_pruned = false;
-  /// Catalog entry metadata backing a `reused` node (for validation and
-  /// the decision log): its generation, modeled load seconds, payload
-  /// bytes, and tier ("memory"/"disk") at decision time.
-  uint64_t reuse_generation = 0;
-  double reuse_load_seconds = 0.0;
-  double reuse_bytes = 0.0;
-  std::string reuse_tier;
 };
 
 /// A producer→consumer chain the FusionPass fused: the runner streams

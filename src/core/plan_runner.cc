@@ -165,8 +165,9 @@ void PlanRunner::ExecuteNode(int id) {
     out.out_stats = outputs_[id]->ComputeStats();
     const double per_node_bytes =
         out.out_stats.TotalBytes() / std::max(1, resources.num_nodes);
-    span.physical = "catalog:" + pn.reuse_tier;
-    if (pn.reuse_tier == "memory") {
+    const std::string tier = plan_->decision_log->AcceptedReuse(id).tier;
+    span.physical = "catalog:" + tier;
+    if (tier == "memory") {
       // Priced as a cluster-parallel memory scan of the stored bytes.
       out.charge_cost = CostProfile(0.0, per_node_bytes, 0.0);
       out.seconds = resources.SecondsFor(out.charge_cost);
@@ -558,7 +559,8 @@ void PlanRunner::FlushOutcome(int id) {
     obs::ResourceTimeline* timeline = ctx_->timeline();
     const char* phase = obs::TracePhaseName(out.span.phase);
     if (pn.kind == NodeKind::kSource ||
-        (pn.reused && pn.reuse_tier != "memory")) {
+        (pn.reused &&
+         plan_->decision_log->AcceptedReuse(id).tier != "memory")) {
       // Source loads and disk-tier catalog reads are charged directly in
       // disk seconds (no CostProfile axis models disk bandwidth).
       timeline->RecordDiskSeconds(phase, id, pn.name, out.seconds);
@@ -612,9 +614,10 @@ void PlanRunner::FlushOutcome(int id) {
     if (pn.reused) {
       catalog->Touch(pn.lineage_fingerprint);
       if (ctx_->metrics() != nullptr) {
-        ctx_->metrics()->Increment(pn.reuse_tier == "memory"
-                                       ? "catalog.hits.memory"
-                                       : "catalog.hits.disk");
+        ctx_->metrics()->Increment(
+            plan_->decision_log->AcceptedReuse(id).tier == "memory"
+                ? "catalog.hits.memory"
+                : "catalog.hits.disk");
       }
     } else if (catalog_publish_[id] && outputs_[id] != nullptr) {
       const bool stored = catalog->Put(

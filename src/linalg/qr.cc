@@ -136,10 +136,9 @@ KS_KERNEL_ALIGN bool Cholesky(const Matrix& a, Matrix* l, double jitter) {
   return true;
 }
 
-KS_KERNEL_ALIGN Matrix SolveSpd(const Matrix& a, const Matrix& b,
-                                double ridge) {
+KS_KERNEL_ALIGN Matrix SolveSpd(const Matrix& a, const Matrix& b) {
   Matrix l;
-  double jitter = ridge;
+  double jitter = 0.0;
   for (int attempt = 0; attempt < 6; ++attempt) {
     if (Cholesky(a, &l, jitter)) {
       const Matrix y = ForwardSubstitute(l, b);

@@ -33,7 +33,7 @@ Matrix LeastSquaresQr(const Matrix& a, const Matrix& b);
 bool Cholesky(const Matrix& a, Matrix* l, double jitter = 0.0);
 
 /// Solves the SPD system A x = b via Cholesky. B may have multiple columns.
-Matrix SolveSpd(const Matrix& a, const Matrix& b, double ridge = 0.0);
+Matrix SolveSpd(const Matrix& a, const Matrix& b);
 
 }  // namespace keystone
 

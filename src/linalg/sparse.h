@@ -75,6 +75,10 @@ class SparseMatrix {
   /// Dense product A^T * B where B is rows() x k dense. Returns cols() x k.
   Matrix TransMatMul(const Matrix& b) const;
 
+  /// Dense Gram matrix A^T A (cols() x cols()), accumulated from the CSR
+  /// rows: the exact sparse solver's normal-equations kernel.
+  Matrix Gram() const;
+
   /// Row i dot a dense vector.
   double RowDot(size_t i, const std::vector<double>& x) const;
 

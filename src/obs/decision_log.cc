@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/common/string_util.h"
 
 namespace keystone {
@@ -100,6 +101,15 @@ std::vector<FusionDecision> OptimizerDecisionLog::FusionDecisions() const {
 std::vector<ReuseDecision> OptimizerDecisionLog::ReuseDecisions() const {
   MutexLock lock(&mu_);
   return reuse_decisions_;
+}
+
+ReuseDecision OptimizerDecisionLog::AcceptedReuse(int node_id) const {
+  MutexLock lock(&mu_);
+  for (const ReuseDecision& decision : reuse_decisions_) {
+    if (decision.accepted && decision.node_id == node_id) return decision;
+  }
+  KS_CHECK(false) << "node " << node_id << " has no accepted reuse decision";
+  return ReuseDecision();
 }
 
 bool OptimizerDecisionLog::Empty() const {

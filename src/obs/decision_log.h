@@ -169,6 +169,11 @@ class OptimizerDecisionLog {
   std::vector<FusionCandidate> FusionCandidates() const;
   std::vector<FusionDecision> FusionDecisions() const;
   std::vector<ReuseDecision> ReuseDecisions() const;
+  /// The accepted ReuseDecision behind a node the ReusePass rewrote into a
+  /// catalog read (PlannedNode::reused): where the plan reads the node's
+  /// tier, entry generation, bytes and priced load from. Check-fails when
+  /// the node has none.
+  ReuseDecision AcceptedReuse(int node_id) const;
 
   /// True when no pass recorded anything (the CI --strict failure mode).
   /// Fusion candidates/decisions follow from static analysis even on

@@ -1,6 +1,7 @@
 #include "src/optimizer/pass_manager.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <utility>
 #include <vector>
@@ -59,18 +60,44 @@ bool NeedsProfile(const OptimizationConfig& config) {
   return config.operator_selection || PlansCache(config);
 }
 
+/// Full-scale seconds of all of a node's executions: linear extrapolation
+/// through the two sampled points (§5.4); when the dataset is smaller than
+/// both sample sizes the points coincide, so fall back to proportional
+/// scaling.
+double ExtrapolatedSeconds(const ProfileEntry& entry) {
+  const double n_full = static_cast<double>(entry.full_records);
+  if (entry.records_large > entry.records_small) {
+    const double slope = (entry.seconds_large - entry.seconds_small) /
+                         (entry.records_large - entry.records_small);
+    return std::max(0.0, entry.seconds_large +
+                             slope * (n_full - entry.records_large));
+  }
+  return entry.seconds_large * n_full /
+         std::max<size_t>(1, entry.records_large);
+}
+
+/// A stored sampling profile the cost model can price: finite,
+/// non-negative seconds and bytes per record.
+bool IsUsable(const obs::NodeProfileRecord& record) {
+  return std::isfinite(record.seconds) && record.seconds >= 0.0 &&
+         std::isfinite(record.bytes_per_record) &&
+         record.bytes_per_record >= 0.0;
+}
+
 /// Attempts to reconstruct every train node's profile and operator choice
 /// from the ProfileStore instead of executing the sampling passes. Returns
 /// false (leaving the plan untouched) unless the store covers every train
-/// node at both sample sizes with a choice the node can take: a stale or
-/// corrupt record naming an option the node does not have is a miss.
+/// node at both sample sizes with a record the plan can use. A stale or
+/// corrupt record is a miss: one naming an option the node does not have,
+/// one with negative or non-finite numbers, or one whose full-scale
+/// estimate overflows.
 bool TryReuseStoredProfiles(PhysicalPlan* plan, ExecContext* ctx) {
   obs::ProfileStore* store = ctx->profile_store();
   if (store == nullptr) return false;
   struct Stored {
     int id;
-    obs::NodeProfileRecord small;
-    obs::NodeProfileRecord large;
+    ProfileEntry entry;
+    int chosen_option;
   };
   std::vector<Stored> stored;
   for (const PlannedNode& pn : plan->nodes) {
@@ -81,21 +108,27 @@ bool TryReuseStoredProfiles(PhysicalPlan* plan, ExecContext* ctx) {
         pn.fingerprint, OptimizationConfig::kProfileSampleSmall));
     if (!large.has_value() || !small.has_value()) return false;
     if (large->chosen_option >= plan->NumOptions(pn.id)) return false;
-    stored.push_back({pn.id, *small, *large});
-  }
-  // Full coverage: rebuild what the two sampling passes would have filled.
-  for (const Stored& s : stored) {
-    ProfileEntry& entry = plan->nodes[s.id].profile;
-    entry.seconds_large = s.large.seconds;
-    entry.records_large = s.large.records;
-    entry.seconds_small = s.small.seconds;
-    entry.records_small = s.small.records;
-    // The small pass runs last live, so its stats are the ones that stick.
-    entry.bytes_per_record = s.small.bytes_per_record;
-    entry.full_records = s.large.full_records;
-    if (s.large.chosen_option >= 0) {
-      plan->SetChosenOption(s.id, s.large.chosen_option);
+    if (!IsUsable(*large) || !IsUsable(*small)) return false;
+    // Rebuild what the two sampling passes would have filled. The small
+    // pass runs last live, so its stats are the ones that stick.
+    ProfileEntry entry;
+    entry.seconds_large = large->seconds;
+    entry.records_large = large->records;
+    entry.seconds_small = small->seconds;
+    entry.records_small = small->records;
+    entry.bytes_per_record = small->bytes_per_record;
+    entry.full_records = large->full_records;
+    if (!std::isfinite(ExtrapolatedSeconds(entry)) ||
+        !std::isfinite(entry.bytes_per_record *
+                       static_cast<double>(entry.full_records))) {
+      return false;
     }
+    stored.push_back({pn.id, entry, large->chosen_option});
+  }
+  // Full coverage: install the rebuilt profiles and replay the choices.
+  for (const Stored& s : stored) {
+    plan->nodes[s.id].profile = s.entry;
+    if (s.chosen_option >= 0) plan->SetChosenOption(s.id, s.chosen_option);
   }
   return true;
 }
@@ -226,24 +259,9 @@ void ProfileAndSelectPass::Run(PhysicalPlan* plan, PassContext* pctx) {
 void ExtrapolateNodeEstimates(PhysicalPlan* plan) {
   for (PlannedNode& pn : plan->nodes) {
     if (!pn.train) continue;
-    const ProfileEntry& entry = pn.profile;
-    const double n_full = static_cast<double>(entry.full_records);
-    // Linear extrapolation through the two sampled points (§5.4); when
-    // the dataset is smaller than both sample sizes the points coincide,
-    // so fall back to proportional scaling.
-    double total_seconds;
-    if (entry.records_large > entry.records_small) {
-      const double slope = (entry.seconds_large - entry.seconds_small) /
-                           (entry.records_large - entry.records_small);
-      total_seconds =
-          std::max(0.0, entry.seconds_large +
-                            slope * (n_full - entry.records_large));
-    } else {
-      total_seconds = entry.seconds_large * n_full /
-                      std::max<size_t>(1, entry.records_large);
-    }
-    pn.est_seconds = total_seconds / std::max(1, pn.weight);
-    pn.est_output_bytes = entry.bytes_per_record * n_full;
+    pn.est_seconds = ExtrapolatedSeconds(pn.profile) / std::max(1, pn.weight);
+    pn.est_output_bytes = pn.profile.bytes_per_record *
+                          static_cast<double>(pn.profile.full_records);
   }
 }
 
@@ -354,10 +372,6 @@ void ReusePass::Run(PhysicalPlan* plan, PassContext* pctx) {
     if (load < recompute) {
       decision.accepted = true;
       decision.pruned = prunable;
-      pn.reuse_generation = entry->generation;
-      pn.reuse_load_seconds = load;
-      pn.reuse_bytes = entry->bytes;
-      pn.reuse_tier = decision.tier;
       for (int k : prunable) plan->nodes[k].reuse_pruned = true;
       demanded = std::move(demanded_after);
       ++accepted;
@@ -408,7 +422,9 @@ void MaterializationPass::Run(PhysicalPlan* plan, PassContext* pctx) {
     if (!info.live) continue;
     info.weight = pn.reused ? 1 : pn.weight;
     info.always_cached = pn.kind == NodeKind::kEstimator;
-    info.compute_seconds = pn.reused ? pn.reuse_load_seconds : pn.est_seconds;
+    info.compute_seconds =
+        pn.reused ? plan->decision_log->AcceptedReuse(pn.id).load_seconds
+                  : pn.est_seconds;
     info.output_bytes = pn.est_output_bytes;
   }
   std::vector<obs::MaterializationStep> ledger;

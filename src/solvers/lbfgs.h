@@ -28,9 +28,10 @@ struct LbfgsResult {
 using LbfgsObjective = std::function<double(const std::vector<double>& x,
                                             std::vector<double>* gradient)>;
 
-/// Minimizes f via limited-memory BFGS with backtracking Armijo line
-/// search. This is the workhorse behind the dense and sparse L-BFGS linear
-/// solvers and the logistic regression operator.
+/// Minimizes f via limited-memory BFGS with a weak-Wolfe line search
+/// (bisection on sufficient decrease plus curvature). This is the workhorse
+/// behind the L-BFGS linear solver (objectives.h FitLbfgs) on either layout,
+/// under least-squares or logistic loss.
 LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
                           std::vector<double> x0, const LbfgsOptions& options);
 

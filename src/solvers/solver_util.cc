@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/linalg/qr.h"
 
 namespace keystone {
 
@@ -81,6 +82,12 @@ Matrix OneHotLabels(const std::vector<int>& labels, int num_classes) {
 
 Matrix AssembleLabels(const DistDataset<std::vector<double>>& labels) {
   return AssembleDense(labels);
+}
+
+Matrix RidgeSolve(Matrix gram, const Matrix& rhs, double l2) {
+  const double ridge = std::max(l2, 1e-10);
+  for (size_t i = 0; i < gram.rows(); ++i) gram(i, i) += ridge;
+  return SolveSpd(gram, rhs);
 }
 
 DesignShape DenseDesignShape(const DistDataset<std::vector<double>>& data,

@@ -28,6 +28,10 @@ Matrix OneHotLabels(const std::vector<int>& labels, int num_classes);
 /// Stacks a dataset of dense label vectors into an n x k matrix.
 Matrix AssembleLabels(const DistDataset<std::vector<double>>& labels);
 
+/// Solves the ridge system (gram + max(l2, 1e-10) I) X = rhs by Cholesky:
+/// the one SPD solve behind every exact and block linear solver.
+Matrix RidgeSolve(Matrix gram, const Matrix& rhs, double l2);
+
 /// A training set's shape as the solver cost models read it (see
 /// solver_costs.h): n examples, d features, k label columns and s average
 /// non-zeros per example.

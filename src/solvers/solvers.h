@@ -39,145 +39,94 @@ inline std::string SolverParamSignature(const LinearSolverConfig& c) {
                                                         : ",lsq");
 }
 
+/// The shell every physical linear solver shares: its config, parameter
+/// signature and k-column label and model shapes. Each solver below declares
+/// only what its algorithm changes; the algorithms themselves are written
+/// once over the DenseDesign/SparseDesign layouts (objectives.h).
+template <typename In>
+class LinearSolverBase : public LabelEstimator<In, DenseVec, DenseVec> {
+ public:
+  using Data = DistDataset<In>;
+  using Labels = DistDataset<DenseVec>;
+  using Model = Fitted<Transformer<In, DenseVec>>;
+
+  explicit LinearSolverBase(const LinearSolverConfig& config)
+      : config_(config) {}
+
+  std::string ParamSignature() const override {
+    return SolverParamSignature(config_);
+  }
+  ValueShape LabelShapeRequirement() const override {
+    return ValueShape::Vector(config_.num_classes);
+  }
+  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
+    (void)data_in;
+    return ValueShape::Vector(config_.num_classes);
+  }
+
+ protected:
+  LinearSolverConfig config_;
+};
+
 // ---------------------------------------------------------------------------
 // Dense physical solvers (features are std::vector<double>).
 // ---------------------------------------------------------------------------
 
 /// Exact least-squares solve on a single node: gathers the dataset to the
 /// driver and solves the normal equations (min-norm dual form when n < d).
-class LocalExactSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
+class LocalExactSolver : public LinearSolverBase<DenseVec> {
  public:
-  explicit LocalExactSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "LocalExactSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<DenseVec, DenseVec>> Fit(
-      const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
-      ExecContext* ctx) const override;
-  std::optional<CostProfile> FitCost(const DistDataset<DenseVec>& data,
-                                     const DistDataset<DenseVec>& labels,
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const Data& data, const Labels& labels,
                                      ExecContext* ctx) const override;
-
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 /// Communication-avoiding distributed exact solve: per-partition Gram
 /// matrices are tree-aggregated and the d x d system solved on the driver
 /// (the paper's "Dist. QR" row of Table 1).
-class DistributedExactSolver
-    : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
+class DistributedExactSolver : public LinearSolverBase<DenseVec> {
  public:
-  explicit DistributedExactSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "DistributedExactSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<DenseVec, DenseVec>> Fit(
-      const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
-      ExecContext* ctx) const override;
-  std::optional<CostProfile> FitCost(const DistDataset<DenseVec>& data,
-                                     const DistDataset<DenseVec>& labels,
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const Data& data, const Labels& labels,
                                      ExecContext* ctx) const override;
-
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 /// Dense L-BFGS solver (least squares or logistic loss).
-class DenseLbfgsSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
+class DenseLbfgsSolver : public LinearSolverBase<DenseVec> {
  public:
-  explicit DenseLbfgsSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "DenseLbfgsSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<DenseVec, DenseVec>> Fit(
-      const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
-      ExecContext* ctx) const override;
-
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
   int Weight() const override { return config_.lbfgs_iterations; }
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 /// Dense block coordinate (Gauss-Seidel) solver: features are partitioned
 /// into blocks of `block_size`; each epoch solves every block's normal
 /// equations against the current residual.
-class DenseBlockSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
+class DenseBlockSolver : public LinearSolverBase<DenseVec> {
  public:
-  explicit DenseBlockSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "DenseBlockSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<DenseVec, DenseVec>> Fit(
-      const DistDataset<DenseVec>& data, const DistDataset<DenseVec>& labels,
-      ExecContext* ctx) const override;
-  std::optional<CostProfile> FitCost(const DistDataset<DenseVec>& data,
-                                     const DistDataset<DenseVec>& labels,
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const Data& data, const Labels& labels,
                                      ExecContext* ctx) const override;
-
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
   int Weight() const override { return config_.block_epochs; }
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 // ---------------------------------------------------------------------------
@@ -185,35 +134,15 @@ class DenseBlockSolver : public LabelEstimator<DenseVec, DenseVec, DenseVec> {
 // ---------------------------------------------------------------------------
 
 /// Sparse L-BFGS: gradients via CSR products, cost scales with nnz.
-class SparseLbfgsSolver
-    : public LabelEstimator<SparseVector, DenseVec, DenseVec> {
+class SparseLbfgsSolver : public LinearSolverBase<SparseVector> {
  public:
-  explicit SparseLbfgsSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "SparseLbfgsSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<SparseVector, DenseVec>> Fit(
-      const DistDataset<SparseVector>& data,
-      const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
-
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
   int Weight() const override { return config_.lbfgs_iterations; }
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 /// Exact solve over sparse features. Like the Spark implementation the
@@ -221,74 +150,32 @@ class SparseLbfgsSolver
 /// (single-precision) copy of each partition, so per-node memory grows
 /// linearly in n*d/w and the solver crashes beyond a few thousand features
 /// on a 65M-example corpus — the paper's Figure 6 crash regime.
-class SparseExactSolver
-    : public LabelEstimator<SparseVector, DenseVec, DenseVec> {
+class SparseExactSolver : public LinearSolverBase<SparseVector> {
  public:
-  explicit SparseExactSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "SparseExactSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<SparseVector, DenseVec>> Fit(
-      const DistDataset<SparseVector>& data,
-      const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
-  std::optional<CostProfile> FitCost(const DistDataset<SparseVector>& data,
-                                     const DistDataset<DenseVec>& labels,
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const Data& data, const Labels& labels,
                                      ExecContext* ctx) const override;
-
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 /// Block coordinate solver over sparse features. Each block is densified
 /// for the local solve, losing the sparsity advantage — the reason it is
 /// 26-260x slower than L-BFGS on text features (paper §3).
-class SparseBlockSolver
-    : public LabelEstimator<SparseVector, DenseVec, DenseVec> {
+class SparseBlockSolver : public LinearSolverBase<SparseVector> {
  public:
-  explicit SparseBlockSolver(const LinearSolverConfig& config)
-      : config_(config) {}
-
+  using LinearSolverBase::LinearSolverBase;
   std::string Name() const override { return "SparseBlockSolver"; }
-  std::string ParamSignature() const override {
-    return SolverParamSignature(config_);
-  }
-
-  Fitted<Transformer<SparseVector, DenseVec>> Fit(
-      const DistDataset<SparseVector>& data,
-      const DistDataset<DenseVec>& labels, ExecContext* ctx) const override;
-  std::optional<CostProfile> FitCost(const DistDataset<SparseVector>& data,
-                                     const DistDataset<DenseVec>& labels,
+  Model Fit(const Data& data, const Labels& labels,
+            ExecContext* ctx) const override;
+  std::optional<CostProfile> FitCost(const Data& data, const Labels& labels,
                                      ExecContext* ctx) const override;
-
   CostProfile EstimateCost(const DataStats& in, int workers) const override;
   double ScratchMemoryBytes(const DataStats& in, int workers) const override;
   int Weight() const override { return config_.block_epochs; }
-
-  ValueShape LabelShapeRequirement() const override {
-    return ValueShape::Vector(config_.num_classes);
-  }
-  ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    (void)data_in;
-    return ValueShape::Vector(config_.num_classes);
-  }
-
- private:
-  LinearSolverConfig config_;
 };
 
 // ---------------------------------------------------------------------------

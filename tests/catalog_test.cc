@@ -387,7 +387,7 @@ TEST(CrossRunReuseTest, WarmFitReadsWhatColdFitPublished) {
   for (const PlannedNode& pn : plan.nodes) {
     if (pn.reused) {
       ++reused;
-      EXPECT_EQ(pn.reuse_tier, "memory");
+      EXPECT_EQ(plan.decision_log->AcceptedReuse(pn.id).tier, "memory");
     }
     if (pn.reuse_pruned) ++pruned;
   }
@@ -507,10 +507,11 @@ TEST(CrossRunReuseTest, WarmFitServesFromDiskTier) {
   auto warm_fit = warm.Fit(build());
 
   int reused = 0;
-  for (const PlannedNode& pn : warm_fit.impl().plan().nodes) {
+  const PhysicalPlan& plan = warm_fit.impl().plan();
+  for (const PlannedNode& pn : plan.nodes) {
     if (!pn.reused) continue;
     ++reused;
-    EXPECT_EQ(pn.reuse_tier, "disk");
+    EXPECT_EQ(plan.decision_log->AcceptedReuse(pn.id).tier, "disk");
   }
   EXPECT_GT(reused, 0);
   bool saw_disk_span = false;

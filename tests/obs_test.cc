@@ -572,48 +572,84 @@ TEST(ProfileStoreTest, OptimizerConsumesStoredProfilesInsteadOfResampling) {
   EXPECT_DOUBLE_EQ(second.optimize_seconds, 0.0);
 }
 
+/// A small Amazon compile's saved ProfileStore, for tests that corrupt its
+/// node records: `lines` is the store a cold compile saved, and Compile
+/// loads rewritten contents and compiles with reuse_stored_profiles.
+class StoredProfiles {
+ public:
+  StoredProfiles()
+      : corpus_(workloads::AmazonLike(64, 8, 10, 200, 7)),
+        pipe_(workloads::BuildAmazonPipeline(corpus_, 128, Solver())) {
+    obs::ProfileStore cold;
+    Compile(&cold);
+    EXPECT_TRUE(cold.Save(path_));
+    std::ifstream in(path_);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ~StoredProfiles() { std::remove(path_.c_str()); }
+
+  static bool IsNode(const std::string& line) {
+    return line.rfind("node ", 0) == 0;
+  }
+
+  /// The store without node records: what a store miss compiles against.
+  std::string HistoryOnly() const {
+    std::string contents;
+    for (const std::string& line : lines) {
+      if (!IsNode(line)) contents += line + "\n";
+    }
+    return contents;
+  }
+
+  /// Loads `contents` as a store and compiles against it.
+  std::shared_ptr<PhysicalPlan> Compile(const std::string& contents) {
+    std::ofstream(path_) << contents;
+    obs::ProfileStore store;
+    EXPECT_TRUE(store.Load(path_));
+    return Compile(&store);
+  }
+
+  std::vector<std::string> lines;
+
+ private:
+  static LinearSolverConfig Solver() {
+    LinearSolverConfig solver;
+    solver.num_classes = 2;
+    return solver;
+  }
+
+  std::shared_ptr<PhysicalPlan> Compile(obs::ProfileStore* store) {
+    OptimizationConfig config = OptimizationConfig::Full();
+    config.reuse_stored_profiles = true;
+    PipelineExecutor executor(TestCluster(), config);
+    executor.context()->set_profile_store(store);
+    return executor.Compile(*pipe_.graph(), pipe_.source(), pipe_.sink());
+  }
+
+  const std::string path_ = ::testing::TempDir() + "/stored_profiles.txt";
+  workloads::TextCorpus corpus_;
+  Pipeline<std::string, std::vector<double>> pipe_;
+};
+
 TEST(ProfileStoreTest, OutOfRangeStoredChoiceSamplesLive) {
   // A stale or corrupt store can name a physical option the node does not
   // have; replaying it used to index past the option list. It now counts
   // as a store miss: the passes sample live and decide as a cold compile
   // with the same observed history.
-  LinearSolverConfig solver;
-  solver.num_classes = 2;
-  const workloads::TextCorpus corpus = workloads::AmazonLike(64, 8, 10, 200, 7);
-  const auto pipe = workloads::BuildAmazonPipeline(corpus, 128, solver);
-  OptimizationConfig config = OptimizationConfig::Full();
-  config.reuse_stored_profiles = true;
-  const auto compile = [&](obs::ProfileStore* store) {
-    PipelineExecutor executor(TestCluster(), config);
-    executor.context()->set_profile_store(store);
-    return executor.Compile(*pipe.graph(), pipe.source(), pipe.sink());
-  };
-
-  const std::string path = ::testing::TempDir() + "/stale_profiles.txt";
-  {
-    obs::ProfileStore cold;
-    compile(&cold);
-    ASSERT_TRUE(cold.Save(path));
-  }
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-  }
+  StoredProfiles stored;
   // A node record's last field is its chosen option (-1 = none). Rewrite
   // it to 7 on the records that chose (past the sparse solver's 3
   // options), or on every record (choices for nodes that have none).
-  const auto is_node = [](const std::string& line) {
-    return line.rfind("node ", 0) == 0;
+  const auto has_choice = [](const std::string& line) {
+    return StoredProfiles::IsNode(line) &&
+           line.substr(line.rfind(' ') + 1) != "-1";
   };
-  const auto has_choice = [&](const std::string& line) {
-    return is_node(line) && line.substr(line.rfind(' ') + 1) != "-1";
-  };
-  ASSERT_TRUE(std::any_of(lines.begin(), lines.end(), has_choice));
+  ASSERT_TRUE(
+      std::any_of(stored.lines.begin(), stored.lines.end(), has_choice));
   const auto rewrite = [&](bool every_record) {
     std::string contents;
-    for (const std::string& line : lines) {
-      if (has_choice(line) || (every_record && is_node(line))) {
+    for (const std::string& line : stored.lines) {
+      if (has_choice(line) || (every_record && StoredProfiles::IsNode(line))) {
         contents += line.substr(0, line.rfind(' ')) + " 7\n";
       } else {
         contents += line + "\n";
@@ -621,27 +657,46 @@ TEST(ProfileStoreTest, OutOfRangeStoredChoiceSamplesLive) {
     }
     return contents;
   };
-  const auto load = [&](const std::string& contents, obs::ProfileStore* store) {
-    std::ofstream(path) << contents;
-    return store->Load(path);
-  };
-  std::string history_only;
-  for (const std::string& line : lines) {
-    if (!is_node(line)) history_only += line + "\n";
-  }
-  obs::ProfileStore history;
-  ASSERT_TRUE(load(history_only, &history));
-  const auto reference = compile(&history);
+  const auto reference = stored.Compile(stored.HistoryOnly());
   EXPECT_FALSE(reference->profiles_from_store);
 
   for (bool every_record : {false, true}) {
-    obs::ProfileStore stale;
-    ASSERT_TRUE(load(rewrite(every_record), &stale));
-    const auto warm = compile(&stale);
+    const auto warm = stored.Compile(rewrite(every_record));
     EXPECT_FALSE(warm->profiles_from_store) << every_record;
     EXPECT_EQ(warm->ToJson(), reference->ToJson()) << every_record;
   }
-  std::remove(path.c_str());
+}
+
+TEST(ProfileStoreTest, CorruptStoredNumbersSampleLive) {
+  // Node records with negative or overflowing numbers load fine but used
+  // to abort the next compile's cost validation once replayed (1e308 s
+  // over a 64-record sample extrapolates to inf). Such a record is a store
+  // miss now: the compile samples live, exactly as with no node records.
+  StoredProfiles stored;
+  const auto reference = stored.Compile(stored.HistoryOnly());
+  // Node record fields: node <key> <seconds> <records> <bytes_per_record>
+  // <full_records> <chosen_option>.
+  constexpr size_t kSeconds = 2;
+  constexpr size_t kBytesPerRecord = 4;
+  const std::vector<std::pair<size_t, std::string>> corruptions = {
+      {kSeconds, "-1e300"}, {kSeconds, "1e308"}, {kBytesPerRecord, "-1e300"}};
+  for (const auto& [field, value] : corruptions) {
+    std::string contents;
+    for (const std::string& line : stored.lines) {
+      if (!StoredProfiles::IsNode(line)) {
+        contents += line + "\n";
+        continue;
+      }
+      std::vector<std::string> tokens = SplitString(line, " ");
+      ASSERT_EQ(tokens.size(), 7u) << line;
+      tokens[field] = value;
+      for (const std::string& token : tokens) contents += token + " ";
+      contents.back() = '\n';
+    }
+    const auto warm = stored.Compile(contents);
+    EXPECT_FALSE(warm->profiles_from_store) << field << "=" << value;
+    EXPECT_EQ(warm->ToJson(), reference->ToJson()) << field << "=" << value;
+  }
 }
 
 TEST(OptimizerHistoryTest, HistoryCorrectionsCountOnTheContextRegistry) {

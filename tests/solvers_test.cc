@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/baselines/baselines.h"
 #include "src/common/rng.h"
 #include "src/core/exec_context.h"
 #include "src/linalg/gemm.h"
@@ -220,6 +224,139 @@ TEST(SparseSolversTest, ExactAndBlockAgreeWithLbfgs) {
   auto* block_typed = dynamic_cast<SparseLinearMapModel*>(block_model.get());
   EXPECT_LT(MaxWeightError(exact_typed->weights(), problem.x_true), 1e-5);
   EXPECT_LT(MaxWeightError(block_typed->weights(), problem.x_true), 1e-3);
+}
+
+// --- One design, two layouts ------------------------------------------------
+
+/// One seeded design stored both ways: dense rows and the same rows as
+/// sparse vectors (about a third of the entries non-zero), with Gaussian
+/// labels or, for logistic loss, one-hot ones.
+struct TwoLayouts {
+  Matrix a;  // n x d
+  Matrix b;  // n x k
+  SparseMatrix sparse_a;
+  std::shared_ptr<DistDataset<DenseVec>> dense;
+  std::shared_ptr<DistDataset<SparseVector>> sparse;
+  std::shared_ptr<DistDataset<DenseVec>> labels;
+};
+
+TwoLayouts MakeTwoLayouts(size_t n, size_t d, size_t k, bool one_hot,
+                          uint64_t seed) {
+  Rng rng(seed);
+  TwoLayouts out;
+  out.a = Matrix(n, d);
+  out.b = Matrix(n, k);
+  std::vector<DenseVec> rows(n, DenseVec(d, 0.0));
+  std::vector<SparseVector> sparse_rows(n);
+  std::vector<DenseVec> labels(n, DenseVec(k, 0.0));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      if (rng.NextDouble() >= 0.35) continue;
+      const double v = rng.NextGaussian();
+      rows[i][j] = out.a(i, j) = v;
+      sparse_rows[i].Push(static_cast<uint32_t>(j), v);
+    }
+    sparse_rows[i].dim = d;
+    if (one_hot) {
+      labels[i][rng.NextIndex(k)] = 1.0;
+    } else {
+      for (double& y : labels[i]) y = rng.NextGaussian();
+    }
+    for (size_t c = 0; c < k; ++c) out.b(i, c) = labels[i][c];
+  }
+  out.sparse_a = SparseMatrix::FromRows(sparse_rows, d);
+  out.dense = MakeDataset(std::move(rows), 3);
+  out.sparse = MakeDataset(std::move(sparse_rows), 3);
+  out.labels = MakeDataset(std::move(labels), 3);
+  return out;
+}
+
+/// The weights a linear solver fits on `data`.
+template <typename In>
+Matrix FittedWeights(const LabelEstimator<In, DenseVec, DenseVec>& solver,
+                     const DistDataset<In>& data,
+                     const DistDataset<DenseVec>& labels) {
+  auto ctx = MakeContext();
+  const auto model = solver.Fit(data, labels, &ctx).model;
+  if constexpr (std::is_same_v<In, DenseVec>) {
+    return dynamic_cast<const LinearMapModel&>(*model).weights();
+  } else {
+    return dynamic_cast<const SparseLinearMapModel&>(*model).weights();
+  }
+}
+
+/// Agreement within 1e-9 relative to the larger magnitude.
+void ExpectAgree(const Matrix& dense, const Matrix& sparse,
+                 const std::string& what) {
+  ASSERT_EQ(dense.rows(), sparse.rows()) << what;
+  ASSERT_EQ(dense.cols(), sparse.cols()) << what;
+  const double scale = std::max({1.0, dense.MaxAbs(), sparse.MaxAbs()});
+  EXPECT_LE((dense - sparse).MaxAbs(), 1e-9 * scale) << what;
+}
+
+TEST(TwoLayoutsTest, DenseAndSparseFitOneDesignAlike) {
+  // Each solver algorithm (and each baseline) is written once over the
+  // DenseDesign/SparseDesign layouts, so one design stored both ways fits
+  // the same weights whichever layout carries it.
+  const auto cluster = ClusterResourceDescriptor::C3_4xlarge(16);
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {90, 20}, {40, 30}, {200, 64}};
+  for (const auto& [n, d] : shapes) {
+    for (size_t k : {1, 3}) {
+      for (bool logistic : {false, true}) {
+        const std::string tag = "n=" + std::to_string(n) +
+                                " d=" + std::to_string(d) +
+                                " k=" + std::to_string(k) +
+                                (logistic ? " logistic" : " lsq");
+        const TwoLayouts design =
+            MakeTwoLayouts(n, d, k, logistic, 100 * n + 10 * d + k);
+        LinearSolverConfig config;
+        config.num_classes = static_cast<int>(k);
+        config.l2_reg = 1e-3;
+        config.lbfgs_iterations = 15;
+        config.block_epochs = 2;
+        config.block_size = 7;  // < d: several column blocks
+        if (logistic) config.loss = LinearSolverConfig::Loss::kLogistic;
+
+        ExpectAgree(FittedWeights(DenseLbfgsSolver(config), *design.dense,
+                                  *design.labels),
+                    FittedWeights(SparseLbfgsSolver(config), *design.sparse,
+                                  *design.labels),
+                    "L-BFGS " + tag);
+        // The block, exact and baseline solvers minimize least squares
+        // whatever the configured loss.
+        if (logistic) continue;
+        ExpectAgree(FittedWeights(DenseBlockSolver(config), *design.dense,
+                                  *design.labels),
+                    FittedWeights(SparseBlockSolver(config), *design.sparse,
+                                  *design.labels),
+                    "block " + tag);
+        ASSERT_GE(n, d);
+        ExpectAgree(FittedWeights(LocalExactSolver(config), *design.dense,
+                                  *design.labels),
+                    FittedWeights(SparseExactSolver(config), *design.sparse,
+                                  *design.labels),
+                    "exact " + tag);
+
+        const std::pair<baselines::BaselineSolveResult,
+                        baselines::BaselineSolveResult>
+            baseline_pairs[] = {
+                {baselines::VwLikeSolveDense(design.a, design.b, 4, cluster),
+                 baselines::VwLikeSolve(design.sparse_a, design.b, 4,
+                                        cluster)},
+                {baselines::SystemMlLikeSolveDense(design.a, design.b, 6,
+                                                   cluster),
+                 baselines::SystemMlLikeSolve(design.sparse_a, design.b, 6,
+                                              cluster)}};
+        for (const auto& [dense, sparse] : baseline_pairs) {
+          ExpectAgree(dense.weights, sparse.weights, "baseline " + tag);
+          EXPECT_NEAR(dense.train_loss, sparse.train_loss,
+                      1e-9 * std::max(1.0, dense.train_loss))
+              << "baseline " + tag;
+        }
+      }
+    }
+  }
 }
 
 // --- Cost-only hook: FitCost is the cost Fit reports ------------------------
