@@ -1,11 +1,15 @@
 // Microbenchmarks for the numeric kernels underlying the operator library
 // (google-benchmark). These are not paper experiments; they document the
-// single-core throughput of the substrate the simulator's GFLOP/s
-// calibration refers to.
+// throughput of the substrate the simulator's GFLOP/s calibration refers
+// to: single-core, plus a 4-thread kernel pool for the SPD solve and the
+// Gram that an exact solver's fit spends its time in.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/linalg/fft.h"
 #include "src/linalg/gemm.h"
 #include "src/linalg/qr.h"
@@ -26,6 +30,60 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+// A kernel pool of state.range(1) threads, or none for 0.
+std::unique_ptr<ThreadPool> PoolArg(const benchmark::State& state) {
+  const int64_t threads = state.range(1);
+  return threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;
+}
+
+void BM_SolveSpd(benchmark::State& state) {
+  const size_t d = state.range(0);
+  const auto pool = PoolArg(state);
+  // Symmetric, strictly diagonally dominant, hence positive definite.
+  Rng rng(8);
+  Matrix a(d, d);
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      a(i, j) = a(j, i) = rng.NextDouble() * 2.0 - 1.0;
+    }
+    a(i, i) = static_cast<double>(d);
+  }
+  const Matrix b = Matrix::GaussianRandom(d, 2, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SolveSpd(a, b, pool.get()));
+  }
+  // Cholesky d^3 / 3, then two triangular solves per right-hand side.
+  const double flops = d * d * (d / 3.0 + 2.0 * b.cols());
+  state.counters["flops"] =
+      benchmark::Counter(flops, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_SolveSpd)
+    ->ArgsProduct({{256, 1000, 2000}, {0, 4}})
+    ->ArgNames({"d", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Gram(benchmark::State& state) {
+  const size_t n = state.range(0) == 256 ? 2500 : 3000;
+  const size_t d = state.range(0);
+  const auto pool = PoolArg(state);
+  Rng rng(9);
+  const Matrix a = Matrix::GaussianRandom(n, d, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Gram(a, pool.get()));
+  }
+  // One multiply-add per entry on or above the diagonal, per record.
+  const double flops = static_cast<double>(n) * d * (d + 1);
+  state.counters["flops"] =
+      benchmark::Counter(flops, benchmark::Counter::kIsIterationInvariantRate);
+}
+// 2500 x 256 and 3000 x 1000 designs.
+BENCHMARK(BM_Gram)
+    ->ArgsProduct({{256, 1000}, {0, 4}})
+    ->ArgNames({"d", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HouseholderQr(benchmark::State& state) {
   const size_t n = state.range(0);

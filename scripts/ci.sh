@@ -18,10 +18,12 @@
 #   KEYSTONE_SANITIZE=thread scripts/ci.sh            # custom legs
 #   KEYSTONE_SANITIZE="address undefined" scripts/ci.sh
 #
-# The thread leg runs the runner- and faults-labeled concurrency suites (the
-# PlanRunner branch scheduler and the fault-replay layer that fans out into
-# ledger/metrics/trace from it) rather than the full suite: that is where
-# threads share state, and TSan slows the rest ~10x for no extra coverage.
+# The thread leg runs the labeled concurrency suites (the PlanRunner branch
+# scheduler, the fault-replay layer that fans out into ledger/metrics/trace
+# from it, serving, telemetry, the catalog, and the linear-algebra kernels
+# that split a Cholesky or Gram over the kernel pool) rather than the full
+# suite: that is where threads share state, and TSan slows the rest ~10x for
+# no extra coverage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -209,8 +211,9 @@ if [[ "$RUN_SANITIZED" == 1 ]]; then
       # own pool while the event loop publishes obs state; telemetry = the
       # hub + async JSONL writer thread handoff; catalog = the artifact
       # catalog, whose tiered store is read concurrently by branch-parallel
-      # plan runs.
-      (cd "build-${sanitizer}" && ctest -L 'runner|faults|serve|telemetry|catalog' --output-on-failure)
+      # plan runs; kernels = the blocked Cholesky and Gram, whose packed
+      # panels and row chunks are shared across the kernel pool's threads.
+      (cd "build-${sanitizer}" && ctest -L 'runner|faults|serve|telemetry|catalog|kernels' --output-on-failure)
     else
       (cd "build-${sanitizer}" && ctest --output-on-failure -j"$(nproc)")
     fi

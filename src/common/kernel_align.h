@@ -6,8 +6,10 @@
 /// the linker places ahead of it, so deleting unrelated code elsewhere moves
 /// the inner loops and shows up as a wall-clock change the kernel's own
 /// code never made. Marks the linear-algebra kernels a fit spends its time
-/// in: the dense kernels and the CSR Gram (SparseMatrix::Gram), all in
-/// src/linalg.
+/// in (the dense kernels, the shared SYRK tile and the CSR Gram,
+/// SparseMatrix::Gram, all in src/linalg) and the per-record linear models
+/// the apply and serving paths run (LinearMapModel::Apply and
+/// SparseLinearMapModel::Apply, in src/solvers).
 #define KS_KERNEL_ALIGN __attribute__((aligned(64)))
 
 #endif  // KEYSTONE_COMMON_KERNEL_ALIGN_H_

@@ -1,9 +1,11 @@
 #include "src/linalg/gemm.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/kernel_align.h"
+#include "src/linalg/syrk.h"
 
 namespace keystone {
 
@@ -12,6 +14,8 @@ namespace {
 constexpr size_t kBlockI = 64;
 constexpr size_t kBlockK = 64;
 constexpr size_t kBlockJ = 256;
+// Records per packed block of the Gram.
+constexpr size_t kGramBlock = 256;
 }  // namespace
 
 KS_KERNEL_ALIGN void GemmAccumulate(const Matrix& a, const Matrix& b,
@@ -90,23 +94,36 @@ KS_KERNEL_ALIGN Matrix GemmTransB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-KS_KERNEL_ALIGN Matrix Gram(const Matrix& a) {
+KS_KERNEL_ALIGN Matrix Gram(const Matrix& a, ThreadPool* pool) {
   const size_t n = a.rows();
   const size_t d = a.cols();
+  // Each entry G(i, j) adds a(r, i) * a(r, j) for records r in ascending
+  // order, as a row-streaming loop does. The shared SYRK kernel subtracts,
+  // so the lower triangle accumulates -G instead: rounding is symmetric, so
+  // (-s) - p is exactly -(s + p). Records are packed and applied kGramBlock
+  // at a time, each block reloading the tiles from g.
   Matrix g(d, d);
-  for (size_t r = 0; r < n; ++r) {
-    const double* row = a.RowPtr(r);
-    for (size_t i = 0; i < d; ++i) {
-      const double ri = row[i];
-      if (ri == 0.0) continue;
-      double* grow = g.RowPtr(i);
-      // Upper triangle only.
-      for (size_t j = i; j < d; ++j) grow[j] += ri * row[j];
+  std::vector<double> packed(syrk::PackedSize(d, std::min(n, kGramBlock)));
+  for (size_t r0 = 0; r0 < n; r0 += kGramBlock) {
+    const size_t depth = std::min(kGramBlock, n - r0);
+    for (size_t k = 0; k < depth; ++k) {
+      const double* row = a.RowPtr(r0 + k);
+      for (size_t i = 0; i < d; ++i) {
+        packed[syrk::PackedOffset(i, depth) + syrk::kTile * k] = row[i];
+      }
     }
+    syrk::ForEachChunk(pool, d, [&](size_t chunk) {
+      syrk::SubtractLower(packed.data(), depth, d, chunk, g.data(), d);
+    });
   }
-  // Mirror to the lower triangle.
+  // Negate and mirror. 0.0 - x rather than -x: an entry that summed to
+  // zero is +0.0 either way, and the streaming loop's sum is never -0.0.
   for (size_t i = 0; i < d; ++i) {
-    for (size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
+    for (size_t j = 0; j <= i; ++j) {
+      const double v = 0.0 - g(i, j);
+      g(i, j) = v;
+      g(j, i) = v;
+    }
   }
   return g;
 }

@@ -13,12 +13,13 @@ namespace {
 
 // Solves min ||A X - B|| + lambda ||X|| exactly: normal equations when
 // n >= d, min-norm dual when n < d (needed for sample-size fits).
-Matrix ExactLeastSquares(const Matrix& a, const Matrix& b, double lambda) {
+Matrix ExactLeastSquares(const Matrix& a, const Matrix& b, double lambda,
+                         ThreadPool* pool) {
   if (a.rows() >= a.cols()) {
-    return RidgeSolve(Gram(a), GemmTransA(a, b), lambda);
+    return RidgeSolve(Gram(a, pool), GemmTransA(a, b), lambda, pool);
   }
   // X = A^T (A A^T + ridge I)^{-1} B.
-  return GemmTransA(a, RidgeSolve(GemmTransB(a, a), b, lambda));
+  return GemmTransA(a, RidgeSolve(GemmTransB(a, a), b, lambda, pool));
 }
 
 }  // namespace
@@ -37,7 +38,7 @@ auto LocalExactSolver::Fit(const Data& data, const Labels& labels,
                            ExecContext* ctx) const -> Model {
   const CostProfile cost = *FitCost(data, labels, ctx);
   Matrix x = ExactLeastSquares(AssembleDense(data), AssembleLabels(labels),
-                               config_.l2_reg);
+                               config_.l2_reg, ctx->pool());
   return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}), cost};
 }
 
@@ -88,10 +89,10 @@ auto DistributedExactSolver::Fit(const Data& data, const Labels& labels,
     }
     const Matrix b_part = b.RowSlice(row, row + part.size());
     row += part.size();
-    gram += Gram(a_part);
+    gram += Gram(a_part, ctx->pool());
     GemmAccumulate(a_part.Transposed(), b_part, &atb);
   }
-  Matrix x = RidgeSolve(std::move(gram), atb, config_.l2_reg);
+  Matrix x = RidgeSolve(std::move(gram), atb, config_.l2_reg, ctx->pool());
   return {std::make_shared<LinearMapModel>(std::move(x), DenseVec{}), cost};
 }
 

@@ -1,6 +1,7 @@
 #include "src/solvers/linear_model.h"
 
 #include "src/common/check.h"
+#include "src/common/kernel_align.h"
 #include "src/linalg/gemm.h"
 
 namespace keystone {
@@ -11,7 +12,10 @@ LinearMapModel::LinearMapModel(Matrix weights, std::vector<double> intercept)
   KS_CHECK_EQ(intercept_.size(), weights_.cols());
 }
 
-std::vector<double> LinearMapModel::Apply(const std::vector<double>& x) const {
+// Aligned, as is SparseLinearMapModel::Apply: both run once per record on
+// the apply and serving paths.
+KS_KERNEL_ALIGN std::vector<double> LinearMapModel::Apply(
+    const std::vector<double>& x) const {
   KS_CHECK_EQ(x.size(), weights_.rows());
   std::vector<double> out = intercept_;
   for (size_t j = 0; j < x.size(); ++j) {
@@ -40,7 +44,8 @@ SparseLinearMapModel::SparseLinearMapModel(Matrix weights,
   KS_CHECK_EQ(intercept_.size(), weights_.cols());
 }
 
-std::vector<double> SparseLinearMapModel::Apply(const SparseVector& x) const {
+KS_KERNEL_ALIGN std::vector<double> SparseLinearMapModel::Apply(
+    const SparseVector& x) const {
   std::vector<double> out = intercept_;
   for (size_t i = 0; i < x.nnz(); ++i) {
     const uint32_t j = x.indices[i];

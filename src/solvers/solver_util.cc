@@ -84,10 +84,11 @@ Matrix AssembleLabels(const DistDataset<std::vector<double>>& labels) {
   return AssembleDense(labels);
 }
 
-Matrix RidgeSolve(Matrix gram, const Matrix& rhs, double l2) {
+Matrix RidgeSolve(Matrix gram, const Matrix& rhs, double l2,
+                  ThreadPool* pool) {
   const double ridge = std::max(l2, 1e-10);
   for (size_t i = 0; i < gram.rows(); ++i) gram(i, i) += ridge;
-  return SolveSpd(gram, rhs);
+  return SolveSpd(gram, rhs, pool);
 }
 
 DesignShape DenseDesignShape(const DistDataset<std::vector<double>>& data,

@@ -9,6 +9,8 @@
 
 namespace keystone {
 
+class ThreadPool;
+
 /// Stacks a dataset of dense feature vectors into an n x d matrix.
 Matrix AssembleDense(const DistDataset<std::vector<double>>& data);
 
@@ -29,8 +31,10 @@ Matrix OneHotLabels(const std::vector<int>& labels, int num_classes);
 Matrix AssembleLabels(const DistDataset<std::vector<double>>& labels);
 
 /// Solves the ridge system (gram + max(l2, 1e-10) I) X = rhs by Cholesky:
-/// the one SPD solve behind every exact and block linear solver.
-Matrix RidgeSolve(Matrix gram, const Matrix& rhs, double l2);
+/// the one SPD solve behind every exact and block linear solver. `pool` is
+/// SolveSpd's: nullptr runs serially and any pool gives the same bits.
+Matrix RidgeSolve(Matrix gram, const Matrix& rhs, double l2,
+                  ThreadPool* pool = nullptr);
 
 /// A training set's shape as the solver cost models read it (see
 /// solver_costs.h): n examples, d features, k label columns and s average

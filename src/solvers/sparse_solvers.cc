@@ -63,7 +63,8 @@ auto SparseExactSolver::Fit(const Data& data, const Labels& labels,
   const CostProfile cost = *FitCost(data, labels, ctx);
   const SparseMatrix a = AssembleSparse(data, SparseFeatureDim(data));
   const Matrix b = AssembleLabels(labels);
-  Matrix x = RidgeSolve(a.Gram(), a.TransMatMul(b), config_.l2_reg);
+  Matrix x =
+      RidgeSolve(a.Gram(), a.TransMatMul(b), config_.l2_reg, ctx->pool());
   return {std::make_shared<SparseLinearMapModel>(std::move(x), DenseVec{}),
           cost};
 }

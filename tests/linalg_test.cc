@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/linalg/eigen.h"
 #include "src/linalg/fft.h"
 #include "src/linalg/gemm.h"
@@ -226,6 +231,171 @@ TEST(SolveSpdTest, SolvesSystem) {
   Matrix b = Gemm(spd, x_true);
   Matrix x = SolveSpd(spd, b);
   EXPECT_TRUE(x.ApproxEquals(x_true, 1e-6));
+}
+
+// --- Blocked kernels against the unblocked ones they replaced --------------
+//
+// The blocked Cholesky, SolveSpd and Gram must reproduce these copies of
+// the unblocked kernels bit for bit, with no pool and with pools of any
+// size.
+
+bool ReferenceCholesky(const Matrix& a, Matrix* l, double jitter) {
+  const size_t n = a.rows();
+  *l = Matrix(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    double diag = a(j, j) + jitter;
+    for (size_t k = 0; k < j; ++k) diag -= (*l)(j, k) * (*l)(j, k);
+    if (diag <= 0.0) return false;
+    const double ljj = std::sqrt(diag);
+    (*l)(j, j) = ljj;
+    for (size_t i = j + 1; i < n; ++i) {
+      double sum = a(i, j);
+      for (size_t k = 0; k < j; ++k) sum -= (*l)(i, k) * (*l)(j, k);
+      (*l)(i, j) = sum / ljj;
+    }
+  }
+  return true;
+}
+
+Matrix ReferenceSolveSpd(const Matrix& a, const Matrix& b) {
+  Matrix l;
+  double jitter = 0.0;
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    if (ReferenceCholesky(a, &l, jitter)) {
+      const Matrix y = ForwardSubstitute(l, b);
+      return BackSubstitute(l.Transposed(), y);
+    }
+    jitter = jitter == 0.0 ? 1e-10 * (1.0 + a.MaxAbs()) : jitter * 100.0;
+  }
+  ADD_FAILURE() << "not positive definite";
+  return Matrix();
+}
+
+Matrix ReferenceGram(const Matrix& a) {
+  const size_t n = a.rows();
+  const size_t d = a.cols();
+  Matrix g(d, d);
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = a.RowPtr(r);
+    for (size_t i = 0; i < d; ++i) {
+      const double ri = row[i];
+      if (ri == 0.0) continue;
+      double* grow = g.RowPtr(i);
+      for (size_t j = i; j < d; ++j) grow[j] += ri * row[j];
+    }
+  }
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
+  }
+  return g;
+}
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+// Runs fn with no pool, then with pools of 1, 2 and 4 threads.
+void ForEachPool(const std::function<void(ThreadPool*)>& fn) {
+  {
+    SCOPED_TRACE("no pool");
+    fn(nullptr);
+  }
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + "-thread pool");
+    ThreadPool pool(threads);
+    fn(&pool);
+  }
+}
+
+// A well-conditioned n x n SPD matrix: the Gram of a taller Gaussian design.
+Matrix SpdMatrix(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  return ReferenceGram(Matrix::GaussianRandom(n + 8, n, &rng));
+}
+
+const size_t kBlockedSizes[] = {0, 1, 2, 63, 64, 65, 127, 128, 129, 300};
+
+TEST(BlockedKernelTest, CholeskyMatchesUnblockedBitForBit) {
+  for (size_t n : kBlockedSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Matrix spd = SpdMatrix(n, 100 + n);
+    for (double jitter : {0.0, 0.25}) {
+      Matrix want;
+      ASSERT_TRUE(ReferenceCholesky(spd, &want, jitter));
+      ForEachPool([&](ThreadPool* pool) {
+        Matrix got;
+        ASSERT_TRUE(Cholesky(spd, &got, jitter, pool));
+        EXPECT_TRUE(SameBits(got, want));
+      });
+    }
+  }
+}
+
+TEST(BlockedKernelTest, SolveSpdMatchesUnblockedBitForBit) {
+  for (size_t n : kBlockedSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Matrix spd = SpdMatrix(n, 200 + n);
+    for (size_t k : {1, 3}) {
+      Rng rng(300 + n + k);
+      const Matrix b = Matrix::GaussianRandom(n, k, &rng);
+      const Matrix want = ReferenceSolveSpd(spd, b);
+      ForEachPool([&](ThreadPool* pool) {
+        EXPECT_TRUE(SameBits(SolveSpd(spd, b, pool), want)) << "k=" << k;
+      });
+    }
+  }
+}
+
+TEST(BlockedKernelTest, CholeskyFailsAtALaterPanelsPivot) {
+  // Leading 70 x 70 block SPD, pivot 70 (in the second 64-column panel)
+  // negative: the first failing pivot is past the first panel.
+  Matrix a = SpdMatrix(130, 7);
+  a(70, 70) = -1.0;
+  Matrix l;
+  ASSERT_FALSE(ReferenceCholesky(a, &l, 0.0));
+  ForEachPool([&](ThreadPool* pool) {
+    Matrix got;
+    EXPECT_FALSE(Cholesky(a, &got, 0.0, pool));
+  });
+}
+
+TEST(BlockedKernelTest, RankDeficientSolveRetriesAndMatches) {
+  // A 200 x 200 Gram of rank 10 fails without jitter, so SolveSpd takes its
+  // jitter retry; the retried factor must still match.
+  Rng rng(9);
+  const Matrix gram = ReferenceGram(Matrix::GaussianRandom(10, 200, &rng));
+  Matrix l;
+  ASSERT_FALSE(ReferenceCholesky(gram, &l, 0.0));
+  const Matrix b = Matrix::GaussianRandom(200, 2, &rng);
+  const Matrix want = ReferenceSolveSpd(gram, b);
+  ForEachPool([&](ThreadPool* pool) {
+    EXPECT_TRUE(SameBits(SolveSpd(gram, b, pool), want));
+  });
+}
+
+TEST(BlockedKernelTest, GramMatchesRowStreamingBitForBit) {
+  // (n, d): n = 0, n < d, d not a multiple of 4, n past one 256-record
+  // block, and d past several 32-row chunks.
+  const std::pair<size_t, size_t> shapes[] = {
+      {0, 5}, {1, 1}, {3, 7}, {40, 129}, {257, 65}, {300, 130}, {513, 67},
+      {600, 64}};
+  for (const auto& [n, d] : shapes) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d));
+    Rng rng(400 + n + d);
+    Matrix a = Matrix::GaussianRandom(n, d, &rng);
+    // Exact zeros, which the row-streaming loop skips: a zero row and a
+    // scattering of zero entries.
+    if (n > 2) {
+      for (size_t j = 0; j < d; ++j) a(n / 2, j) = 0.0;
+      for (size_t r = 0; r < n; r += 3) a(r, (r * 7) % d) = 0.0;
+    }
+    const Matrix want = ReferenceGram(a);
+    ForEachPool([&](ThreadPool* pool) {
+      EXPECT_TRUE(SameBits(Gram(a, pool), want));
+    });
+  }
 }
 
 TEST(EigenTest, DiagonalMatrix) {

@@ -626,7 +626,12 @@ class StoredProfiles {
     return executor.Compile(*pipe_.graph(), pipe_.source(), pipe_.sink());
   }
 
-  const std::string path_ = ::testing::TempDir() + "/stored_profiles.txt";
+  // One file per test: ctest runs this suite's tests as concurrent
+  // processes, and a shared file let one test read or delete another's.
+  const std::string path_ =
+      ::testing::TempDir() + "/stored_profiles_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
   workloads::TextCorpus corpus_;
   Pipeline<std::string, std::vector<double>> pipe_;
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "src/baselines/baselines.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/exec_context.h"
 #include "src/linalg/gemm.h"
 #include "src/linalg/vector_ops.h"
@@ -275,8 +277,10 @@ TwoLayouts MakeTwoLayouts(size_t n, size_t d, size_t k, bool one_hot,
 template <typename In>
 Matrix FittedWeights(const LabelEstimator<In, DenseVec, DenseVec>& solver,
                      const DistDataset<In>& data,
-                     const DistDataset<DenseVec>& labels) {
+                     const DistDataset<DenseVec>& labels,
+                     ThreadPool* pool = nullptr) {
   auto ctx = MakeContext();
+  if (pool != nullptr) ctx.set_pool(pool);
   const auto model = solver.Fit(data, labels, &ctx).model;
   if constexpr (std::is_same_v<In, DenseVec>) {
     return dynamic_cast<const LinearMapModel&>(*model).weights();
@@ -375,6 +379,47 @@ void ExpectFitCostIsFitCost(const Solver& solver, const Features& data,
   EXPECT_EQ(hook->bytes, fit->bytes) << solver.Name();
   EXPECT_EQ(hook->network, fit->network) << solver.Name();
   EXPECT_EQ(hook->rounds, fit->rounds) << solver.Name();
+}
+
+// The exact solvers' Gram and Cholesky split their work over the context's
+// pool in fixed row chunks, so the weights they fit are the same bits
+// whatever the pool's size.
+TEST(ExactSolverPoolTest, WeightsAreBitIdenticalForAnyPoolSize) {
+  LinearSolverConfig config;
+  config.num_classes = 3;
+  config.l2_reg = 1e-3;
+  // Dimensions past one 64-column panel and several 32-row chunks.
+  const DenseProblem tall = MakeDenseProblem(300, 150, 3, 0.1, 41);
+  const DenseProblem wide = MakeDenseProblem(100, 170, 3, 0.1, 42);
+  const SparseProblem sparse = MakeSparseProblem(400, 180, 3, 12, 43);
+  ASSERT_GE(tall.data->NumPartitions(), 3u);
+  const auto fit_all = [&](ThreadPool* pool) {
+    return std::vector<Matrix>{
+        FittedWeights(LocalExactSolver(config), *tall.data, *tall.labels,
+                      pool),
+        FittedWeights(LocalExactSolver(config), *wide.data, *wide.labels,
+                      pool),
+        FittedWeights(DistributedExactSolver(config), *tall.data,
+                      *tall.labels, pool),
+        FittedWeights(SparseExactSolver(config), *sparse.data,
+                      *sparse.labels, pool)};
+  };
+  const char* const names[] = {"LocalExact n >= d", "LocalExact n < d",
+                               "DistributedExact", "SparseExact"};
+  ThreadPool one(1);
+  const std::vector<Matrix> want = fit_all(&one);
+  for (size_t threads : {2, 4}) {
+    ThreadPool pool(threads);
+    const std::vector<Matrix> got = fit_all(&pool);
+    for (size_t s = 0; s < want.size(); ++s) {
+      ASSERT_EQ(got[s].rows(), want[s].rows()) << names[s];
+      ASSERT_EQ(got[s].cols(), want[s].cols()) << names[s];
+      EXPECT_EQ(std::memcmp(got[s].data(), want[s].data(),
+                            want[s].size() * sizeof(double)),
+                0)
+          << names[s] << " with " << threads << " threads";
+    }
+  }
 }
 
 TEST(SolverFitCostTest, DenseHookEqualsFitCost) {
