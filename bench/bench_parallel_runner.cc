@@ -1,18 +1,23 @@
 // Wall-clock effect of DAG-level branch parallelism in PlanRunner: fit the
-// same Gather-heavy pipeline with parallel_branches off and then on. The
-// scheduler only changes *when* node kernels run, never what is charged —
-// the two runs must agree exactly on virtual time, while the parallel run
-// should finish the real compute measurably faster on a multicore host.
+// same Gather-heavy pipeline on a one-thread pool (every node on the
+// calling thread, in id order) and then on a pool with one thread per
+// hardware thread (branches handed to pool helpers). The pool only changes
+// *when* node kernels run, never what is charged — the two runs must agree
+// exactly on virtual time, while the parallel run should finish the real
+// compute measurably faster on a multicore host.
 //
 // Usage: bench_parallel_runner [branches] [records] [iters]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/core/executor.h"
 #include "src/core/pipeline.h"
@@ -74,7 +79,7 @@ struct RunStats {
   double virtual_seconds = 0.0;
 };
 
-RunStats FitOnce(int branches, size_t records, int iters, bool parallel) {
+RunStats FitOnce(int branches, size_t records, int iters, size_t threads) {
   std::vector<double> values(records);
   for (size_t i = 0; i < records; ++i) {
     values[i] = 0.1 + 0.8 * static_cast<double>(i) / records;
@@ -92,9 +97,10 @@ RunStats FitOnce(int branches, size_t records, int iters, bool parallel) {
   }
   auto pipe = Pipeline<double, double>::Gather(chains);
 
-  OptimizationConfig config = OptimizationConfig::None();
-  config.parallel_branches = parallel;
-  PipelineExecutor executor(ClusterResourceDescriptor::R3_4xlarge(8), config);
+  ThreadPool pool(threads);
+  PipelineExecutor executor(ClusterResourceDescriptor::R3_4xlarge(8),
+                            OptimizationConfig::None());
+  executor.context()->set_pool(&pool);
   Timer timer;
   executor.Fit(pipe);
   RunStats stats;
@@ -109,11 +115,12 @@ int Run(int argc, char** argv) {
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 20000;
   const int iters = argc > 3 ? std::atoi(argv[3]) : 300;
 
+  const size_t threads = std::max(1u, std::thread::hardware_concurrency());
   std::printf("-- branch-parallel PlanRunner: %d branches, %zu records, "
-              "%d iters/record --\n",
-              branches, records, iters);
-  const RunStats serial = FitOnce(branches, records, iters, false);
-  const RunStats parallel = FitOnce(branches, records, iters, true);
+              "%d iters/record, 1 vs %zu pool threads --\n",
+              branches, records, iters, threads);
+  const RunStats serial = FitOnce(branches, records, iters, 1);
+  const RunStats parallel = FitOnce(branches, records, iters, threads);
   std::printf("  %-10s %12s %16s\n", "scheduler", "wall (s)", "virtual (s)");
   std::printf("  %-10s %12.3f %16.6f\n", "serial", serial.wall_seconds,
               serial.virtual_seconds);

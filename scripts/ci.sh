@@ -18,12 +18,12 @@
 #   KEYSTONE_SANITIZE=thread scripts/ci.sh            # custom legs
 #   KEYSTONE_SANITIZE="address undefined" scripts/ci.sh
 #
-# The thread leg runs the labeled concurrency suites (the PlanRunner branch
-# scheduler, the fault-replay layer that fans out into ledger/metrics/trace
-# from it, serving, telemetry, the catalog, and the linear-algebra kernels
-# that split a Cholesky or Gram over the kernel pool) rather than the full
-# suite: that is where threads share state, and TSan slows the rest ~10x for
-# no extra coverage.
+# The thread leg runs the labeled concurrency suites (the thread pool itself,
+# the PlanRunner branch scheduler on that pool, the fault-replay layer that
+# fans out into ledger/metrics/trace from it, serving, telemetry, the
+# catalog, and the linear-algebra kernels that split a Cholesky or Gram over
+# the kernel pool) rather than the full suite: that is where threads share
+# state, and TSan slows the rest ~10x for no extra coverage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -205,7 +205,9 @@ if [[ "$RUN_SANITIZED" == 1 ]]; then
       -DKEYSTONE_WERROR=ON -DKEYSTONE_SANITIZE="${sanitizer}"
     cmake --build "build-${sanitizer}" -j"$(nproc)"
     if [[ "$sanitizer" == thread ]]; then
-      # runner = the PlanRunner branch scheduler; faults = the fault-replay
+      # common = the ThreadPool (caller-run ParallelFor, loops inside pool
+      # tasks) and the annotated Mutex; runner = the PlanRunner branch
+      # scheduler, which hands nodes to that pool; faults = the fault-replay
       # suite, whose ledger/metrics/trace fan-out runs inside that scheduler;
       # serve = the PipelineServer request path, which runs kernels on its
       # own pool while the event loop publishes obs state; telemetry = the
@@ -213,7 +215,7 @@ if [[ "$RUN_SANITIZED" == 1 ]]; then
       # catalog, whose tiered store is read concurrently by branch-parallel
       # plan runs; kernels = the blocked Cholesky and Gram, whose packed
       # panels and row chunks are shared across the kernel pool's threads.
-      (cd "build-${sanitizer}" && ctest -L 'runner|faults|serve|telemetry|catalog|kernels' --output-on-failure)
+      (cd "build-${sanitizer}" && ctest -L 'common|runner|faults|serve|telemetry|catalog|kernels' --output-on-failure)
     else
       (cd "build-${sanitizer}" && ctest --output-on-failure -j"$(nproc)")
     fi

@@ -102,15 +102,13 @@ ValidationReport CheckDataflow(const PhysicalPlan& plan,
                    "mark node '" + pn.name +
                        "' train-only or replace it with a pure equivalent");
       }
-      if (plan.config.parallel_branches &&
-          feeds_gather[static_cast<size_t>(id)]) {
+      if (feeds_gather[static_cast<size_t>(id)]) {
         report.Add(
             Severity::kError, rules::kEffectStatefulOnParallelPath, id,
             "stateful node '" + pn.name +
                 "' on a branch-parallel region (branches dispatch "
                 "concurrently)",
-            "set OptimizationConfig::parallel_branches=false or make '" +
-                pn.name + "' pure/seeded-deterministic");
+            "make '" + pn.name + "' pure/seeded-deterministic");
       }
     }
     if (f.effect == EffectClass::kTrainOnly && pn.runtime) {

@@ -1,5 +1,6 @@
 #include "src/common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -31,36 +32,39 @@ void ThreadPool::Submit(std::function<void()> task) {
     MutexLock lock(&mu_);
     KS_CHECK(!shutdown_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   task_available_.NotifyOne();
 }
 
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  while (in_flight_ != 0) all_done_.Wait(&mu_);
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || threads_.size() == 1) {
+  const size_t workers = std::min(n, threads_.size());
+  if (workers <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Chunked dynamic scheduling: each worker grabs the next index.
-  auto counter = std::make_shared<std::atomic<size_t>>(0);
-  const size_t workers = std::min(n, threads_.size());
-  for (size_t w = 0; w < workers; ++w) {
-    Submit([counter, n, &fn] {
-      while (true) {
-        const size_t i = counter->fetch_add(1);
-        if (i >= n) break;
-        fn(i);
-      }
-    });
-  }
-  Wait();
+  struct Loop {
+    std::atomic<size_t> next{0};
+    Mutex mu;
+    CondVar finished;
+    size_t done GUARDED_BY(mu) = 0;
+  };
+  // Helpers share the loop by shared_ptr, since one may start after the
+  // caller has returned; it then claims no index and never touches `fn`.
+  auto loop = std::make_shared<Loop>();
+  auto claim = [loop, n, f = &fn] {
+    size_t ran = 0;
+    for (size_t i = loop->next++; i < n; i = loop->next++, ++ran) (*f)(i);
+    if (ran == 0) return;
+    MutexLock lock(&loop->mu);
+    loop->done += ran;
+    if (loop->done == n) loop->finished.NotifyOne();
+  };
+  for (size_t h = 1; h < workers; ++h) Submit(claim);
+  claim();
+  // Every iteration not yet done is running on a helper.
+  MutexLock lock(&loop->mu);
+  while (loop->done < n) loop->finished.Wait(&loop->mu);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -69,10 +73,7 @@ void ThreadPool::WorkerLoop() {
     {
       MutexLock lock(&mu_);
       while (!shutdown_ && tasks_.empty()) task_available_.Wait(&mu_);
-      if (tasks_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
+      if (tasks_.empty()) return;  // shut down with nothing left to run
       task = std::move(tasks_.front());
       tasks_.pop();
     }
@@ -84,11 +85,6 @@ void ThreadPool::WorkerLoop() {
             .count(),
         std::memory_order_relaxed);
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    {
-      MutexLock lock(&mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
   }
 }
 

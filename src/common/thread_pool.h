@@ -14,25 +14,26 @@
 
 namespace keystone {
 
-/// Fixed-size worker pool used to execute dataset partitions concurrently.
-/// The pool executes real work; virtual cluster time is accounted separately
-/// by the simulator (see src/sim). Tasks must not throw.
+/// Fixed-size worker pool that runs both operator kernels and independent
+/// DAG branches (PlanRunner); virtual time is the simulator's (src/sim).
+/// Tasks must not throw. Whoever starts parallel work runs its own queued
+/// work and waits only for work already running on a helper.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
-  /// Enqueues a task for asynchronous execution.
+  /// Enqueues a task; only its submitter waits for it.
   void Submit(std::function<void()> task) EXCLUDES(mu_);
 
-  /// Blocks until all submitted tasks have completed.
-  void Wait() EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, n), distributing across the pool, and blocks
-  /// until all iterations finish.
+  /// Runs fn(i) for i in [0, n) and returns once those n calls finish. The
+  /// caller claims iterations beside min(n, num_threads()) - 1 helpers (a
+  /// one-thread pool runs the loop inline, in order) and waits only for its
+  /// own iterations, so the loop may run inside a task on this pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn)
       EXCLUDES(mu_);
 
@@ -56,9 +57,7 @@ class ThreadPool {
 
   Mutex mu_{kLockRankThreadPool};
   CondVar task_available_;
-  CondVar all_done_;
   std::queue<std::function<void()>> tasks_ GUARDED_BY(mu_);
-  size_t in_flight_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
   std::atomic<uint64_t> tasks_submitted_{0};
   std::atomic<uint64_t> tasks_executed_{0};

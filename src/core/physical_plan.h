@@ -60,12 +60,6 @@ struct OptimizationConfig {
   /// aborts the fit before execution starts.
   bool validate_plans = true;
 
-  /// Dispatch independent DAG branches concurrently during fit/apply
-  /// execution (PlanRunner). Virtual-time charging is order-independent by
-  /// construction, so results are bit-identical to serial execution; turn
-  /// off to force strictly serial node order.
-  bool parallel_branches = true;
-
   /// Expected per-node failure rate the materialization pass prices in:
   /// caching an output shields its downstream consumers from re-running the
   /// upstream chain when a task fails, so a non-zero rate shifts the greedy

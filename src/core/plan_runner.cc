@@ -1,15 +1,17 @@
 #include "src/core/plan_runner.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "src/analysis/plan_validator.h"
 #include "src/cache/artifact_catalog.h"
 #include "src/common/check.h"
 #include "src/common/mutex.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile_store.h"
@@ -58,6 +60,73 @@ DataStats ReplayStats(const std::vector<std::vector<ElementStat>>& parts,
   stats.sparsity = dim > 0 ? stats.avg_nnz / static_cast<double>(dim) : 1.0;
   stats.num_records = static_cast<size_t>(real_records * scale);
   return stats;
+}
+
+/// One pass's ready set, shared with pool helpers by shared_ptr: a helper
+/// that starts after the pass has returned finds nothing ready and exits.
+struct ReadySet {
+  /// Without helpers nodes run in id order (the serial reference); with
+  /// them, first ready first run, so new branches start early.
+  void Add(int id) REQUIRES(mu) {
+    ready.emplace(max_helpers > 0 ? arrivals++ : static_cast<size_t>(id), id);
+  }
+
+  Mutex mu;
+  CondVar changed;  // a node became ready, or none is running any more
+  std::set<std::pair<size_t, int>> ready GUARDED_BY(mu);  // (order, id)
+  size_t arrivals GUARDED_BY(mu) = 0;
+  std::vector<int> pending_inputs GUARDED_BY(mu);  // unfinished deps
+  size_t remaining GUARDED_BY(mu) = 0;  // nodes not yet finished
+  size_t running GUARDED_BY(mu) = 0;    // taken and not yet finished
+  size_t helpers GUARDED_BY(mu) = 0;    // submitted and not yet exited
+  std::vector<std::vector<int>> successors;
+  std::function<void(int)> run;  // executes one node
+  ThreadPool* pool = nullptr;
+  size_t max_helpers = 0;
+};
+
+/// Finishes `done` (if >= 0) and takes the next ready node (-1: none),
+/// counting into `*spawn` a helper per further ready node, up to
+/// max_helpers outstanding. The pass's own thread (`caller`) first waits
+/// while nodes run on helpers — the only work it ever waits for.
+int NextNode(ReadySet* s, int done, bool caller, size_t* spawn) {
+  MutexLock lock(&s->mu);
+  if (done >= 0) {
+    --s->remaining;
+    --s->running;
+    for (int next : s->successors[done]) {
+      if (--s->pending_inputs[next] == 0) s->Add(next);
+    }
+  }
+  while (caller && s->ready.empty() && s->running > 0) {
+    s->changed.Wait(&s->mu);
+  }
+  if (s->ready.empty()) {
+    if (!caller) --s->helpers;
+    if (s->running == 0) s->changed.NotifyOne();
+    return -1;
+  }
+  const int id = s->ready.begin()->second;
+  s->ready.erase(s->ready.begin());
+  ++s->running;
+  while (s->ready.size() > s->helpers && s->helpers < s->max_helpers) {
+    ++s->helpers;
+    ++*spawn;
+  }
+  if (!s->ready.empty()) s->changed.NotifyOne();
+  return id;
+}
+
+/// Runs ready nodes until none is left for this thread.
+void RunReadyNodes(const std::shared_ptr<ReadySet>& s, bool caller) {
+  size_t spawn = 0;
+  for (int id = NextNode(s.get(), -1, caller, &spawn); id >= 0;
+       id = NextNode(s.get(), id, caller, &spawn)) {
+    for (; spawn > 0; --spawn) {
+      s->pool->Submit([s] { RunReadyNodes(s, /*caller=*/false); });
+    }
+    s->run(id);
+  }
 }
 
 obs::TracePhase PhaseFor(ExecMode mode) {
@@ -150,7 +219,7 @@ void PlanRunner::ExecuteNode(int id) {
   // the ReusePass marks anything, and the runtime path never reuses. The
   // payload carries its own virtual scale (preserved by the codec), so no
   // rescaling happens here. Fetch is const on the catalog (no promotion, no
-  // access-order update), keeping parallel-branch execution race-free; the
+  // access-order update), so concurrent branches never race on it; the
   // entry's Touch lands in the id-ordered flush.
   if (mode_ == ExecMode::kFit && pn.reused) {
     cache::ArtifactCatalog* catalog = ctx_->artifact_catalog();
@@ -295,10 +364,7 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
   const int tail = region.nodes.back();
   const PlannedNode& head_pn = plan_->nodes[head];
   const AnyDataset input = outputs_[head_pn.inputs[0]];
-  if (input == nullptr || !input->SupportsChunking() ||
-      input->NumPartitions() == 0) {
-    return false;
-  }
+  if (input == nullptr || input->NumPartitions() == 0) return false;
 
   // Resolve every member's operator up front; a single member without
   // chunked apply makes the whole region fall back (the FusionPass already
@@ -607,8 +673,8 @@ void PlanRunner::FlushOutcome(int id) {
   }
   // Catalog write-through happens here, inside the serial id-ordered flush:
   // Touch (access-order update) and Put (insert + possible eviction) are
-  // the catalog's only mutations during a fit, so serial and
-  // branch-parallel runs leave byte-identical catalog state.
+  // the catalog's only mutations during a fit, so runs on every pool size
+  // leave byte-identical catalog state.
   if (mode_ == ExecMode::kFit && ctx_->artifact_catalog() != nullptr) {
     cache::ArtifactCatalog* catalog = ctx_->artifact_catalog();
     if (pn.reused) {
@@ -665,21 +731,18 @@ void PlanRunner::FlushOutcome(int id) {
   }
 }
 
-void PlanRunner::RunSerial(const std::vector<int>& exec_ids) {
-  for (int id : exec_ids) ExecuteNode(id);
-}
-
-void PlanRunner::RunParallel(const std::vector<int>& exec_ids) {
+void PlanRunner::Schedule(const std::vector<int>& exec_ids) {
   const int n = plan_->graph->size();
   std::vector<bool> in_set(n, false);
   for (int id : exec_ids) in_set[id] = true;
-  std::vector<int> indegree(n, 0);
-  std::vector<std::vector<int>> succ(n);
+  auto s = std::make_shared<ReadySet>();
+  s->successors.resize(n);
+  std::vector<int> pending_inputs(n, 0);
   for (int id : exec_ids) {
     for (int dep : plan_->graph->Dependencies(id)) {
       if (in_set[dep]) {
-        ++indegree[id];
-        succ[dep].push_back(id);
+        ++pending_inputs[id];
+        s->successors[dep].push_back(id);
       }
     }
   }
@@ -698,71 +761,54 @@ void PlanRunner::RunParallel(const std::vector<int>& exec_ids) {
       if (member == id) continue;
       for (int dep : plan_->graph->Dependencies(member)) {
         if (in_set[dep] && !in_region[dep]) {
-          ++indegree[id];
-          succ[dep].push_back(id);
+          ++pending_inputs[id];
+          s->successors[dep].push_back(id);
         }
       }
     }
   }
-
-  // Dedicated scheduler threads over a ready queue. Node bodies must not
-  // run on the shared ThreadPool: operators block in ParallelFor on that
-  // pool, and ThreadPool::Wait waits for ALL in-flight tasks — scheduling
-  // nodes there would deadlock a node task waiting on its own pool.
-  Mutex mu;
-  CondVar cv;
-  std::deque<int> ready;
-  size_t remaining = exec_ids.size();
-  for (int id : exec_ids) {
-    if (indegree[id] == 0) ready.push_back(id);
-  }
-
-  auto worker = [&]() {
-    for (;;) {
-      int id = -1;
-      {
-        MutexLock lock(&mu);
-        while (ready.empty() && remaining > 0) cv.Wait(&mu);
-        if (ready.empty()) return;
-        id = ready.front();
-        ready.pop_front();
-      }
-      ExecuteNode(id);
-      {
-        MutexLock lock(&mu);
-        --remaining;
-        for (int s : succ[id]) {
-          if (--indegree[s] == 0) ready.push_back(s);
-        }
-        cv.NotifyAll();
-      }
+  s->run = [this](int id) { ExecuteNode(id); };
+  s->pool = ctx_->pool();
+  // Profile passes stay on the calling thread, in id order, so operator
+  // selection sees every upstream choice before it samples a node.
+  s->max_helpers = InProfileMode() ? 0 : s->pool->num_threads() - 1;
+  {
+    MutexLock lock(&s->mu);
+    for (int id : exec_ids) {
+      if (pending_inputs[id] == 0) s->Add(id);
     }
-  };
-
-  // At least two workers even on single-core hosts, so the concurrent
-  // scheduling path is always exercised (and sanitizer-checked) wherever
-  // parallel_branches is on.
-  const size_t hw = std::max(2u, std::thread::hardware_concurrency());
-  const size_t workers =
-      std::min<size_t>(exec_ids.size(), std::min<size_t>(hw, 8));
-  std::vector<std::thread> threads;
-  threads.reserve(workers > 0 ? workers - 1 : 0);
-  for (size_t i = 1; i < workers; ++i) threads.emplace_back(worker);
-  worker();  // the calling thread schedules too
-  for (auto& t : threads) t.join();
-  KS_CHECK(remaining == 0) << "plan scheduler stalled (cyclic dependencies?)";
+    s->pending_inputs = std::move(pending_inputs);
+    s->remaining = exec_ids.size();
+  }
+  RunReadyNodes(s, /*caller=*/true);
+  MutexLock lock(&s->mu);
+  KS_CHECK(s->remaining == 0)
+      << "plan scheduler stalled (cyclic dependencies?)";
 }
 
-RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
-  KS_CHECK(mode != ExecMode::kApply) << "use RunApply for the runtime path";
+void PlanRunner::RunPass(const std::vector<int>& exec_ids,
+                         const AnyDataset& runtime_input) {
   ValidateFaultPlan(*plan_, ctx_);
-  mode_ = mode;
-  select_ = select;
-  apply_models_ = nullptr;
   const int n = plan_->graph->size();
   outputs_.assign(n, nullptr);
   models_.assign(n, nullptr);
   outcomes_.assign(n, NodeOutcome());
+  if (runtime_input != nullptr) outputs_[plan_->placeholder] = runtime_input;
+  Schedule(exec_ids);
+  for (int id : exec_ids) FlushOutcome(id);
+  if (ctx_->telemetry() != nullptr) {
+    // The ledger total is the run's virtual clock: ticking here closes
+    // every window this pass's charges crossed.
+    ctx_->telemetry()->Tick(ctx_->ledger()->TotalSeconds());
+  }
+}
+
+RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
+  KS_CHECK(mode != ExecMode::kApply) << "use RunApply for the runtime path";
+  mode_ = mode;
+  select_ = select;
+  apply_models_ = nullptr;
+  const int n = plan_->graph->size();
 
   std::vector<int> exec_ids;
   for (int id = 0; id < n; ++id) {
@@ -807,21 +853,7 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
     ctx_->timeline()->NoteCacheBudget(plan_->cache_budget_bytes);
   }
 
-  // Profile passes stay serial: operator selection must see nodes in
-  // topological order so upstream choices shape downstream samples.
-  const bool parallel = plan_->config.parallel_branches && !InProfileMode() &&
-                        exec_ids.size() > 1;
-  if (parallel) {
-    RunParallel(exec_ids);
-  } else {
-    RunSerial(exec_ids);
-  }
-  for (int id : exec_ids) FlushOutcome(id);
-  if (ctx_->telemetry() != nullptr) {
-    // The ledger total is the run's virtual clock: ticking here closes
-    // every window this pass's charges crossed.
-    ctx_->telemetry()->Tick(ctx_->ledger()->TotalSeconds());
-  }
+  RunPass(exec_ids, nullptr);
 
   RunResult result;
   result.node_seconds.assign(n, 0.0);
@@ -839,33 +871,15 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
 AnyDataset PlanRunner::RunApply(
     const AnyDataset& input,
     const std::map<int, std::shared_ptr<TransformerBase>>& models) {
-  ValidateFaultPlan(*plan_, ctx_);
+  KS_CHECK(plan_->placeholder >= 0) << "plan has no runtime placeholder";
   mode_ = ExecMode::kApply;
   select_ = nullptr;
   apply_models_ = &models;
-  const int n = plan_->graph->size();
-  outputs_.assign(n, nullptr);
-  models_.assign(n, nullptr);
-  outcomes_.assign(n, NodeOutcome());
-  KS_CHECK(plan_->placeholder >= 0) << "plan has no runtime placeholder";
-  outputs_[plan_->placeholder] = input;
-
   std::vector<int> exec_ids;
-  for (int id = 0; id < n; ++id) {
+  for (int id = 0; id < plan_->graph->size(); ++id) {
     if (plan_->nodes[id].runtime) exec_ids.push_back(id);
   }
-  const bool parallel =
-      plan_->config.parallel_branches && exec_ids.size() > 1;
-  if (parallel) {
-    RunParallel(exec_ids);
-  } else {
-    RunSerial(exec_ids);
-  }
-  for (int id : exec_ids) FlushOutcome(id);
-  if (ctx_->telemetry() != nullptr) {
-    ctx_->telemetry()->Tick(ctx_->ledger()->TotalSeconds());
-  }
-
+  RunPass(exec_ids, input);
   KS_CHECK(outputs_[plan_->sink] != nullptr);
   return outputs_[plan_->sink];
 }

@@ -46,13 +46,14 @@ struct RunResult {
 /// instrumentation point: one trace span, one metrics update, and one
 /// profile-store observation per node execution.
 ///
-/// Fit and apply dispatch independent DAG branches concurrently
-/// (OptimizationConfig::parallel_branches) on dedicated scheduler threads;
-/// profile modes stay serial so operator selection sees nodes in
-/// topological order. Virtual seconds are computed per node from the pure
-/// cost model, and all observable effects — trace spans, ledger charges,
-/// metrics, store writes — are buffered per node and flushed in node-id
-/// order after the pass, so parallel runs are bit-identical to serial ones.
+/// The calling thread runs ready nodes itself; in fit and apply it hands
+/// extra ready nodes to helpers on the context's ThreadPool (first ready,
+/// first run), so branches run concurrently on a pool of more than one
+/// thread. A one-thread pool and every profile pass run in id order on the
+/// calling thread. Virtual seconds come per node from the pure cost model,
+/// and all observable effects — trace spans, ledger charges, metrics,
+/// store writes — are buffered per node and flushed in node-id order after
+/// the pass, so every pool size gives bit-identical results.
 class PlanRunner {
  public:
   PlanRunner(PhysicalPlan* plan, ExecContext* ctx);
@@ -123,7 +124,7 @@ class PlanRunner {
   /// `invoke` — the operator call, returning the cost it reported, if any —
   /// into the span, then charges `out` from that cost or, without one, from
   /// span.predicted. The cost is a return value, so a report can never be
-  /// charged to another node, whichever scheduler thread ran it.
+  /// charged to another node, whichever thread ran it.
   template <typename Invoke>
   void InvokeAndCharge(NodeOutcome* out, const DataStats& in_stats,
                        double scale, Invoke invoke);
@@ -133,9 +134,9 @@ class PlanRunner {
   /// modes; ExecuteNode never calls it in the profile passes). Fills each
   /// member's NodeOutcome so the flushed effects are byte-identical to
   /// unfused whole-dataset execution. Returns false — leaving all outcomes
-  /// untouched — when the region cannot stream (unchunkable input, or an
-  /// operator without chunked apply), in which case the caller executes
-  /// members node by node.
+  /// untouched — when the region cannot stream (no partitions to stream,
+  /// or an operator without chunked apply), in which case the caller
+  /// executes members node by node.
   bool TryExecuteFusedRegion(const FusedRegion& region);
 
   /// Virtual seconds to re-produce node `id`'s output during recovery:
@@ -147,8 +148,15 @@ class PlanRunner {
   /// one) and routes the priced recovery into ledger, metrics, timeline,
   /// trace, and the plan's decision log. Called from FlushOutcome.
   void SimulateFaults(int id);
-  void RunSerial(const std::vector<int>& exec_ids);
-  void RunParallel(const std::vector<int>& exec_ids);
+
+  /// Executes `exec_ids` in dependency order, as described on the class.
+  void Schedule(const std::vector<int>& exec_ids);
+
+  /// One pass over `exec_ids` in the current mode: reset the per-run
+  /// vectors (the placeholder holds `runtime_input`), schedule, flush in id
+  /// order, tick telemetry.
+  void RunPass(const std::vector<int>& exec_ids,
+               const AnyDataset& runtime_input);
 
   bool InProfileMode() const {
     return mode_ == ExecMode::kProfileSmall ||
@@ -163,9 +171,9 @@ class PlanRunner {
   PhysicalPlan* plan_;
   ExecContext* ctx_;
 
-  // Per-run state; indexed by node id. In parallel runs each scheduler
-  // thread writes only the slots of nodes it executed, and cross-thread
-  // visibility is ordered by the scheduler's ready-queue mutex.
+  // Per-run state; indexed by node id. A node body writes only its own
+  // node's slots, and cross-thread visibility is ordered by the
+  // scheduler's ready-set mutex.
   ExecMode mode_ = ExecMode::kFit;
   SelectHook select_;
   /// Fit mode with an ArtifactCatalog: nodes whose output is published into

@@ -83,26 +83,13 @@ class DatasetBase {
   /// element type gives no information.
   virtual ValueShape ElementShape() const { return ValueShape::Top(); }
 
-  /// Whether ChunkOf can slice this dataset (DistDataset: yes; opaque
-  /// dataset adapters default to no, which makes the runner fall back to
-  /// whole-dataset execution).
-  virtual bool SupportsChunking() const { return false; }
-
-  /// Records in partition `p` (chunking datasets only; 0 otherwise).
-  virtual size_t PartitionSize(size_t p) const {
-    (void)p;
-    return 0;
-  }
+  /// Records in partition `p`.
+  virtual size_t PartitionSize(size_t p) const = 0;
 
   /// A chunk holding `count` records of partition `p` starting at `begin`
   /// (`count == 0` yields an empty, still correctly typed chunk — the type
-  /// witness for empty partitions). Null when unsupported.
-  virtual AnyChunk ChunkOf(size_t p, size_t begin, size_t count) const {
-    (void)p;
-    (void)begin;
-    (void)count;
-    return nullptr;
-  }
+  /// witness for empty partitions).
+  virtual AnyChunk ChunkOf(size_t p, size_t begin, size_t count) const = 0;
 
   /// Virtual record-count multiplier. Benchmarks reproduce paper-scale
   /// experiments by holding a laptop-scale dataset whose *statistics*
@@ -244,8 +231,6 @@ class DistDataset : public DatasetBase {
         std::max<size_t>(1, std::min(partitions_.size(), sampled.size()));
     return Partitioned(std::move(sampled), parts);
   }
-
-  bool SupportsChunking() const override { return true; }
 
   size_t PartitionSize(size_t p) const override {
     KS_CHECK_LT(p, partitions_.size());

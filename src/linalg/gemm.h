@@ -25,8 +25,8 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
 /// rank-k update over blocks of 256 records. Each entry sums a(r, i) *
 /// a(r, j) over records r in ascending order, so for finite inputs the
 /// result is bit-identical to that plain loop. `pool` spreads fixed 32-row
-/// chunks of the output over its threads: nullptr runs serially, any pool
-/// gives the same bits, and the caller must not itself be a task on `pool`.
+/// chunks of the output over its threads: nullptr runs serially and any
+/// pool gives the same bits.
 Matrix Gram(const Matrix& a, ThreadPool* pool = nullptr);
 
 }  // namespace keystone

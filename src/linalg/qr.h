@@ -36,9 +36,8 @@ Matrix LeastSquaresQr(const Matrix& a, const Matrix& b);
 /// register-tiled trailing update; every entry receives its products in
 /// ascending order, so for finite inputs L is bit-identical to the
 /// column-by-column algorithm. `pool` spreads fixed 32-row chunks of each
-/// panel solve and trailing update over its threads: nullptr runs serially,
-/// any pool gives the same bits, and the caller must not itself be a task on
-/// `pool`.
+/// panel solve and trailing update over its threads: nullptr runs serially
+/// and any pool gives the same bits.
 bool Cholesky(const Matrix& a, Matrix* l, double jitter = 0.0,
               ThreadPool* pool = nullptr);
 

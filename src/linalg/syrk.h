@@ -42,7 +42,7 @@ void SubtractLower(const double* packed, size_t depth, size_t rows,
 
 /// Runs fn(chunk) for each of the kChunkRows-row chunks covering `rows`
 /// rows: inline in ascending order when `pool` is null, else spread over
-/// the pool. The caller must not be a task on `pool`.
+/// the pool.
 void ForEachChunk(ThreadPool* pool, size_t rows,
                   const std::function<void(size_t)>& fn);
 

@@ -9,6 +9,7 @@
 
 #include "src/analysis/plan_validator.h"
 #include "src/cache/artifact_catalog.h"
+#include "src/common/thread_pool.h"
 #include "src/core/executor.h"
 #include "src/core/physical_plan.h"
 #include "src/core/pipeline.h"
@@ -539,15 +540,19 @@ struct WarmObservation {
   std::string timeline_json;
 };
 
-WarmObservation FitColdThenWarm(const OptimizationConfig& config) {
+WarmObservation FitColdThenWarm(const OptimizationConfig& config,
+                                size_t threads) {
   ArtifactCatalog catalog{CatalogConfig{}};
+  ThreadPool pool(threads);
   auto pipe = BranchyPipeline(6);
   {
     PipelineExecutor cold(TestCluster(), config);
+    cold.context()->set_pool(&pool);
     cold.context()->set_artifact_catalog(&catalog);
     cold.Fit(pipe);
   }
   PipelineExecutor warm(TestCluster(), config);
+  warm.context()->set_pool(&pool);
   obs::TraceRecorder recorder;
   obs::ResourceTimeline timeline;
   warm.context()->set_tracer(&recorder);
@@ -568,10 +573,8 @@ WarmObservation FitColdThenWarm(const OptimizationConfig& config) {
 }
 
 TEST(CrossRunReuseTest, SerialAndParallelWarmFitsAreByteIdentical) {
-  OptimizationConfig serial = OptimizationConfig::Full();
-  serial.parallel_branches = false;
-  const WarmObservation off = FitColdThenWarm(serial);
-  const WarmObservation on = FitColdThenWarm(OptimizationConfig::Full());
+  const WarmObservation off = FitColdThenWarm(OptimizationConfig::Full(), 1);
+  const WarmObservation on = FitColdThenWarm(OptimizationConfig::Full(), 4);
   // The warm fit read and republished catalog entries; every observable —
   // model output, charged virtual time, report, span stream, timeline —
   // must still match strictly serial execution exactly.

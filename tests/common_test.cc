@@ -289,13 +289,37 @@ TEST(StringUtilTest, WriteFileAtomicReplacesWholeFile) {
   std::remove(path.c_str());
 }
 
+/// Counts finished tasks; the submitter waits on it, since the pool itself
+/// never waits for submitted work.
+class DoneCounter {
+ public:
+  void Add() {
+    MutexLock lock(&mu_);
+    ++done_;
+    changed_.NotifyAll();
+  }
+  void WaitFor(int n) {
+    MutexLock lock(&mu_);
+    while (done_ < n) changed_.Wait(&mu_);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar changed_;
+  int done_ = 0;
+};
+
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
+  DoneCounter done;
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+    pool.Submit([&count, &done] {
+      count.fetch_add(1);
+      done.Add();
+    });
   }
-  pool.Wait();
+  done.WaitFor(100);
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -304,6 +328,53 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(1000);
   pool.ParallelFor(1000, [&hits](size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForInsideAPoolTask) {
+  // Both workers run a task that loops over the same pool, so no worker is
+  // left to run a loop's helpers: each task claims its own iterations.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits[2] = {std::vector<std::atomic<int>>(1000),
+                                           std::vector<std::atomic<int>>(1000)};
+  DoneCounter started;
+  DoneCounter done;
+  for (int t = 0; t < 2; ++t) {
+    pool.Submit([&pool, &hits, &started, &done, t] {
+      started.Add();
+      started.WaitFor(2);  // hold both workers
+      pool.ParallelFor(1000, [&hits, t](size_t i) { hits[t][i].fetch_add(1); });
+      done.Add();
+    });
+  }
+  done.WaitFor(2);
+  for (const auto& loop : hits) {
+    for (const auto& h : loop) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForIgnoresUnrelatedTasks) {
+  ThreadPool pool(2);
+  Mutex mu;
+  CondVar flag_set;
+  bool flag = false;
+  DoneCounter done;
+  pool.Submit([&] {
+    {
+      MutexLock lock(&mu);
+      while (!flag) flag_set.Wait(&mu);
+    }
+    done.Add();
+  });
+  std::vector<std::atomic<int>> hits(100);
+  pool.ParallelFor(100, [&hits](size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // ParallelFor returned while the unrelated task is still blocked.
+  {
+    MutexLock lock(&mu);
+    flag = true;
+  }
+  flag_set.NotifyAll();
+  done.WaitFor(1);
 }
 
 TEST(ThreadPoolTest, ParallelForZeroAndOne) {
@@ -332,8 +403,10 @@ TEST(MutexTest, AscendingRanksAreAllowed) {
   MutexLock inner(&high);  // ledger < metrics shard: fine
 }
 
-#ifndef NDEBUG
 TEST(MutexDeathTest, DescendingRanksAbort) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the lock-order checker is compiled out under NDEBUG";
+#else
   EXPECT_DEATH(
       {
         Mutex low(kLockRankLedger);
@@ -342,8 +415,8 @@ TEST(MutexDeathTest, DescendingRanksAbort) {
         MutexLock inner(&low);  // metrics shard -> ledger: order violation
       },
       "lock-order violation");
-}
 #endif
+}
 
 TEST(TimerTest, MeasuresElapsed) {
   Timer t;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/analysis/plan_validator.h"
+#include "src/common/thread_pool.h"
 #include "src/core/executor.h"
 #include "src/core/physical_plan.h"
 #include "src/core/pipeline.h"
@@ -342,9 +343,11 @@ struct FaultObservation {
 };
 
 FaultObservation FitAndObserve(const OptimizationConfig& config,
-                               const FaultPlan* plan) {
+                               const FaultPlan* plan, size_t threads = 4) {
   auto pipe = BranchyPipeline(6);
+  ThreadPool pool(threads);
   PipelineExecutor executor(TestCluster(), config);
+  executor.context()->set_pool(&pool);
   obs::TraceRecorder recorder;
   obs::ResourceTimeline timeline;
   obs::MetricsRegistry metrics;
@@ -417,11 +420,10 @@ TEST(FaultInjectionTest, SameSeedReproducesTheRunExactly) {
 
 TEST(FaultInjectionTest, SerialAndParallelSchedulesAgreeUnderFaults) {
   const FaultPlan plan(IntegrationFaults(42));
-  OptimizationConfig serial = OptimizationConfig::Full();
-  serial.parallel_branches = false;
-  const FaultObservation off = FitAndObserve(serial, &plan);
+  const FaultObservation off =
+      FitAndObserve(OptimizationConfig::Full(), &plan, 1);
   const FaultObservation on =
-      FitAndObserve(OptimizationConfig::Full(), &plan);
+      FitAndObserve(OptimizationConfig::Full(), &plan, 4);
   // Non-vacuous: this seed actually injects faults and charges recovery.
   EXPECT_GT(on.faults_injected, 0.0);
   EXPECT_GT(on.recovery_stage_seconds, 0.0);

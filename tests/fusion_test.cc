@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/analysis/dataflow.h"
+#include "src/common/thread_pool.h"
 #include "src/core/executor.h"
 #include "src/core/physical_plan.h"
 #include "src/core/pipeline.h"
@@ -40,7 +41,6 @@ ClusterResourceDescriptor TestCluster() {
 
 TEST(ChunkTest, ChunkOfSlicesPartitions) {
   auto data = Doubles({1, 2, 3, 4, 5, 6, 7}, 2);  // parts of 4 and 3
-  ASSERT_TRUE(data->SupportsChunking());
   EXPECT_EQ(data->PartitionSize(0), 4u);
   EXPECT_EQ(data->PartitionSize(1), 3u);
   const AnyChunk chunk = data->ChunkOf(0, 1, 2);
@@ -244,9 +244,11 @@ struct RunObservation {
 };
 
 RunObservation RunChain(const OptimizationConfig& config,
-                        const ExecOptions& opts) {
+                        const ExecOptions& opts, size_t threads = 4) {
   auto pipe = ChainPipeline();
+  ThreadPool pool(threads);
   PipelineExecutor executor(TestCluster(), config);
+  executor.context()->set_pool(&pool);
   obs::TraceRecorder recorder;
   obs::ResourceTimeline timeline;
   obs::MetricsRegistry metrics;
@@ -295,15 +297,15 @@ TEST(FusedExecutionTest, ChunkedMatchesWholeDataset) {
 }
 
 TEST(FusedExecutionTest, ChunkedMatchesWholeDatasetSerially) {
-  OptimizationConfig serial = OptimizationConfig::Full();
-  serial.parallel_branches = false;
+  // On a one-thread pool every node and partition runs on the calling
+  // thread.
+  const OptimizationConfig full = OptimizationConfig::Full();
   ExecOptions chunked;
   chunked.max_batch_size = 3;
-  ExpectIdentical(RunChain(Unfused(serial), chunked),
-                  RunChain(serial, chunked));
-  // ... and the serial fused run matches the parallel fused run.
-  ExpectIdentical(RunChain(serial, chunked),
-                  RunChain(OptimizationConfig::Full(), chunked));
+  ExpectIdentical(RunChain(Unfused(full), chunked, 1),
+                  RunChain(full, chunked, 1));
+  // ... and the serial fused run matches the four-thread fused run.
+  ExpectIdentical(RunChain(full, chunked, 1), RunChain(full, chunked, 4));
 }
 
 TEST(FusedExecutionTest, EmptyDatasetStreamsToEmptyOutput) {

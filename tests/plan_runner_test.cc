@@ -3,10 +3,14 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/mutex.h"
+#include "src/common/thread_pool.h"
 #include "src/core/executor.h"
 #include "src/core/physical_plan.h"
 #include "src/core/pipeline.h"
@@ -69,9 +73,15 @@ struct FitObservation {
   std::string timeline_json;
 };
 
-FitObservation FitAndObserve(const OptimizationConfig& config) {
+/// Fits and applies BranchyPipeline(6) on a pool of `threads` threads. One
+/// thread is the serial reference: every node runs on the calling thread in
+/// id order.
+FitObservation FitAndObserve(const OptimizationConfig& config,
+                             size_t threads = 4) {
   auto pipe = BranchyPipeline(6);
+  ThreadPool pool(threads);
   PipelineExecutor executor(TestCluster(), config);
+  executor.context()->set_pool(&pool);
   obs::TraceRecorder recorder;
   obs::ResourceTimeline timeline;
   executor.context()->set_tracer(&recorder);
@@ -107,10 +117,8 @@ TEST(PlanRunnerTest, ParallelFitIsDeterministic) {
 }
 
 TEST(PlanRunnerTest, SerialAndParallelExecutionAgree) {
-  OptimizationConfig serial = OptimizationConfig::Full();
-  serial.parallel_branches = false;
-  const FitObservation off = FitAndObserve(serial);
-  const FitObservation on = FitAndObserve(OptimizationConfig::Full());
+  const FitObservation off = FitAndObserve(OptimizationConfig::Full(), 1);
+  const FitObservation on = FitAndObserve(OptimizationConfig::Full(), 4);
   // Branch parallelism is a wall-clock optimization only: every observable
   // effect — fitted models, virtual-time charges, report, trace — matches
   // strictly serial execution exactly.
@@ -143,26 +151,73 @@ TEST(PlanRunnerTest, SerialAndParallelExecutionAgree) {
 
 TEST(PlanRunnerTest, ResourceTimelineBitIdenticalAcrossSchedulers) {
   // The timeline is built from per-node effects buffered by PlanRunner and
-  // flushed in node-id order, so the serial and branch-parallel schedules
+  // flushed in node-id order, so the one-thread and four-thread pools
   // must render byte-for-byte identical timelines: same intervals in the
   // same order, same cache counters, same high-water mark.
-  OptimizationConfig serial = OptimizationConfig::Full();
-  serial.parallel_branches = false;
-  const FitObservation off = FitAndObserve(serial);
-  const FitObservation on = FitAndObserve(OptimizationConfig::Full());
+  const FitObservation off = FitAndObserve(OptimizationConfig::Full(), 1);
+  const FitObservation on = FitAndObserve(OptimizationConfig::Full(), 4);
   EXPECT_FALSE(on.timeline_json.empty());
   EXPECT_NE(on.timeline_json.find("\"intervals\""), std::string::npos);
   EXPECT_EQ(off.timeline_json, on.timeline_json);
 }
 
 TEST(PlanRunnerTest, UnoptimizedConfigsAgreeAcrossSchedulers) {
-  OptimizationConfig serial = OptimizationConfig::None();
-  serial.parallel_branches = false;
-  const FitObservation off = FitAndObserve(serial);
-  const FitObservation on = FitAndObserve(OptimizationConfig::None());
+  const FitObservation off = FitAndObserve(OptimizationConfig::None(), 1);
+  const FitObservation on = FitAndObserve(OptimizationConfig::None(), 4);
   EXPECT_EQ(off.output, on.output);
   EXPECT_EQ(off.fit_ledger_seconds, on.fit_ledger_seconds);
   EXPECT_EQ(off.report_text, on.report_text);
+}
+
+/// Pure map that records the id of every thread that applies it.
+class ThreadRecorder : public Transformer<double, double> {
+ public:
+  std::string Name() const override { return "ThreadRecorder"; }
+  double Apply(const double& x) const override {
+    MutexLock lock(&mu_);
+    ids_.insert(std::this_thread::get_id());
+    return x + 1.0;
+  }
+  std::set<std::thread::id> ids() const {
+    MutexLock lock(&mu_);
+    return ids_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  mutable std::set<std::thread::id> ids_;
+};
+
+TEST(PlanRunnerTest, ChainRunsOnTheCallingThread) {
+  // One source, one partition, one node after another: the calling thread
+  // never has a second ready node to hand out or a second partition to
+  // share, so a four-thread pool runs none of the fit or the apply.
+  auto recorder = std::make_shared<ThreadRecorder>();
+  auto pipe = PipelineInput<double>()
+                  .AndThen(std::make_shared<Scale>(2.0))
+                  .AndThen(recorder)
+                  .AndThen(std::make_shared<MeanCenterer>(),
+                           Doubles({1, 2, 3, 4}, 1));
+  ThreadPool pool(4);
+  PipelineExecutor executor(TestCluster(), OptimizationConfig::Full());
+  executor.context()->set_pool(&pool);
+  auto fitted = executor.Fit(pipe);
+  const auto out = fitted.Apply(Doubles({5, 6, 7}, 1), executor.context());
+  EXPECT_EQ(out->NumRecords(), 3u);
+  EXPECT_EQ(recorder->ids(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(pool.stats().tasks_submitted, 0u);
+
+  // A one-thread pool is the serial run: even six independent branches
+  // never reach the pool.
+  ThreadPool one(1);
+  PipelineExecutor serial(TestCluster(), OptimizationConfig::Full());
+  serial.context()->set_pool(&one);
+  const uint64_t before = one.stats().tasks_submitted;
+  auto branchy = serial.Fit(BranchyPipeline(6));
+  branchy.ApplyOne(2.0, serial.context());
+  branchy.Apply(Doubles({1, 2, 3, 4, 5}, 4), serial.context());
+  EXPECT_EQ(one.stats().tasks_submitted, before);
 }
 
 /// Supervised estimator whose reported fit cost follows from its input's
