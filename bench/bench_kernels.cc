@@ -2,7 +2,8 @@
 // (google-benchmark). These are not paper experiments; they document the
 // throughput of the substrate the simulator's GFLOP/s calibration refers
 // to: single-core, plus a 4-thread kernel pool for the SPD solve and the
-// Gram that an exact solver's fit spends its time in.
+// Gram that an exact solver's fit spends its time in, and for the GMM EM
+// fit that the ImageNet pipeline's featurization spends its time in.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include "src/linalg/qr.h"
 #include "src/linalg/svd.h"
 #include "src/ops/convolution.h"
+#include "src/ops/gmm.h"
 
 namespace keystone {
 namespace {
@@ -84,6 +86,38 @@ BENCHMARK(BM_Gram)
     ->ArgNames({"d", "threads"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_FitGmm(benchmark::State& state) {
+  const size_t n = state.range(0);
+  const auto pool = PoolArg(state);
+  Rng rng(10);
+  const Matrix rows = Matrix::GaussianRandom(n, 6, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FitGmm(rows, 5, 10, 23, pool.get()));
+  }
+  // One E step and one M step per descriptor per EM iteration.
+  state.SetItemsProcessed(state.iterations() * n * 10);
+}
+// The ImageNet workload's LCS descriptor stack: 600 images x 36 cells,
+// d = 6, k = 5, 10 EM iterations.
+BENCHMARK(BM_FitGmm)
+    ->ArgsProduct({{21600}, {0, 4}})
+    ->ArgNames({"n", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_FisherVector(benchmark::State& state) {
+  Rng rng(11);
+  const FisherVectorModel model(
+      FitGmm(Matrix::GaussianRandom(2000, 6, &rng), 5, 10, 23));
+  // One image's 36 LCS descriptors.
+  const Matrix descriptors = Matrix::GaussianRandom(36, 6, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Apply(descriptors));
+  }
+  state.SetItemsProcessed(state.iterations() * descriptors.rows());
+}
+BENCHMARK(BM_FisherVector);
 
 void BM_HouseholderQr(benchmark::State& state) {
   const size_t n = state.range(0);

@@ -21,8 +21,9 @@
 # The thread leg runs the labeled concurrency suites (the thread pool itself,
 # the PlanRunner branch scheduler on that pool, the fault-replay layer that
 # fans out into ledger/metrics/trace from it, serving, telemetry, the
-# catalog, and the linear-algebra kernels that split a Cholesky or Gram over
-# the kernel pool) rather than the full suite: that is where threads share
+# catalog, the linear-algebra kernels that split a Cholesky or Gram over
+# the kernel pool, and the operator suite, whose GMM fit runs its EM steps
+# on that pool) rather than the full suite: that is where threads share
 # state, and TSan slows the rest ~10x for no extra coverage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -214,7 +215,9 @@ if [[ "$RUN_SANITIZED" == 1 ]]; then
       # hub + async JSONL writer thread handoff; catalog = the artifact
       # catalog, whose tiered store is read concurrently by branch-parallel
       # plan runs; kernels = the blocked Cholesky and Gram, whose packed
-      # panels and row chunks are shared across the kernel pool's threads.
+      # panels and row chunks are shared across the kernel pool's threads,
+      # and the operator suite (ops_test), whose GMM fit splits its E step
+      # into row chunks and its M step into components on that pool.
       (cd "build-${sanitizer}" && ctest -L 'common|runner|faults|serve|telemetry|catalog|kernels' --output-on-failure)
     else
       (cd "build-${sanitizer}" && ctest --output-on-failure -j"$(nproc)")

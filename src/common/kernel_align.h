@@ -7,9 +7,10 @@
 /// the inner loops and shows up as a wall-clock change the kernel's own
 /// code never made. Marks the linear-algebra kernels a fit spends its time
 /// in (the dense kernels, the shared SYRK tile and the CSR Gram,
-/// SparseMatrix::Gram, all in src/linalg) and the per-record linear models
+/// SparseMatrix::Gram, all in src/linalg), the per-record linear models
 /// the apply and serving paths run (LinearMapModel::Apply and
-/// SparseLinearMapModel::Apply, in src/solvers).
+/// SparseLinearMapModel::Apply, in src/solvers), and the GMM E and M steps
+/// and Fisher encoder (src/ops/gmm.cc).
 #define KS_KERNEL_ALIGN __attribute__((aligned(64)))
 
 #endif  // KEYSTONE_COMMON_KERNEL_ALIGN_H_

@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "src/common/check.h"
+#include "src/common/kernel_align.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 
 namespace keystone {
 
 namespace {
 
 constexpr double kVarianceFloor = 1e-6;
+// Rows per E-step task: fixed, so the split never depends on the pool.
+constexpr size_t kEStepRows = 256;
 
 // k-means++ style seeding: first center uniform, rest proportional to
 // squared distance from the nearest chosen center.
@@ -83,10 +88,109 @@ Matrix StackRows(const DistDataset<Matrix>& data) {
   return stacked;
 }
 
+// Runs fn(i) for i in [0, n): in order without a pool, else on its
+// ParallelFor. Each i writes its own outputs, so the split changes no bits.
+void ForEach(ThreadPool* pool, size_t n,
+             const std::function<void(size_t)>& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, fn);
+}
+
+// The descriptor-independent terms of each component's log density:
+// log_weight[c] = log(max(w_c, 1e-12)) and log_norm(c, j) = log(2 pi var_cj).
+void ComponentLogTerms(const GmmParams& params,
+                       std::vector<double>* log_weight, Matrix* log_norm) {
+  const size_t k = params.num_components();
+  const size_t d = params.dim();
+  log_weight->resize(k);
+  *log_norm = Matrix(k, d);
+  for (size_t c = 0; c < k; ++c) {
+    (*log_weight)[c] = std::log(std::max(params.weights[c], 1e-12));
+    for (size_t j = 0; j < d; ++j) {
+      (*log_norm)(c, j) = std::log(2.0 * M_PI * params.variances(c, j));
+    }
+  }
+}
+
+// Writes the posterior p(c | x) of every component into gamma: a softmax
+// over log(w_c) + log N(x | mean_c, var_c), taken against the largest.
+inline void Posterior(const GmmParams& params,
+                      const std::vector<double>& log_weight,
+                      const Matrix& log_norm, const double* x,
+                      double* gamma) {
+  const size_t k = params.num_components();
+  double max_log = -1e300;
+  for (size_t c = 0; c < k; ++c) {
+    const double* mean = params.means.RowPtr(c);
+    const double* var = params.variances.RowPtr(c);
+    const double* norm = log_norm.RowPtr(c);
+    double lp = log_weight[c];
+    for (size_t j = 0; j < params.dim(); ++j) {
+      const double diff = x[j] - mean[j];
+      lp -= 0.5 * (norm[j] + diff * diff / var[j]);
+    }
+    gamma[c] = lp;
+    max_log = std::max(max_log, lp);
+  }
+  double z = 0.0;
+  for (size_t c = 0; c < k; ++c) {
+    gamma[c] = std::exp(gamma[c] - max_log);
+    z += gamma[c];
+  }
+  for (size_t c = 0; c < k; ++c) gamma[c] /= z;
+}
+
+// E step over rows [begin, end). Out of line, so KS_KERNEL_ALIGN holds.
+KS_KERNEL_ALIGN __attribute__((noinline)) void EStepRows(
+    const Matrix& rows, const GmmParams& params,
+    const std::vector<double>& log_weight, const Matrix& log_norm,
+    size_t begin, size_t end, Matrix* resp) {
+  for (size_t i = begin; i < end; ++i) {
+    Posterior(params, log_weight, log_norm, rows.RowPtr(i), resp->RowPtr(i));
+  }
+}
+
+// M step for component c. Every sum runs over rows in ascending order: the
+// occupancy and means in one pass, then the variances about those means.
+// The sums stay in this task's own buffers until the end, since the
+// components' rows of `params` share cache lines.
+KS_KERNEL_ALIGN __attribute__((noinline)) void MStepComponent(
+    const Matrix& rows, const Matrix& resp, size_t c, GmmParams* params) {
+  const size_t n = rows.rows();
+  const size_t d = rows.cols();
+  std::vector<double> mean(d, 0.0);
+  std::vector<double> var(d, 0.0);
+  double nk = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double r = resp(i, c);
+    const double* x = rows.RowPtr(i);
+    nk += r;
+    for (size_t j = 0; j < d; ++j) mean[j] += r * x[j];
+  }
+  nk = std::max(nk, 1e-10);
+  for (size_t j = 0; j < d; ++j) mean[j] /= nk;
+  for (size_t i = 0; i < n; ++i) {
+    const double r = resp(i, c);
+    const double* x = rows.RowPtr(i);
+    for (size_t j = 0; j < d; ++j) {
+      const double diff = x[j] - mean[j];
+      var[j] += r * diff * diff;
+    }
+  }
+  for (size_t j = 0; j < d; ++j) {
+    params->means(c, j) = mean[j];
+    params->variances(c, j) = std::max(var[j] / nk, kVarianceFloor);
+  }
+  params->weights[c] = nk / n;
+}
+
 }  // namespace
 
 GmmParams FitGmm(const Matrix& rows, size_t components, int em_iterations,
-                 uint64_t seed) {
+                 uint64_t seed, ThreadPool* pool) {
   const size_t n = rows.rows();
   const size_t d = rows.cols();
   KS_CHECK_GT(n, 0u);
@@ -99,46 +203,15 @@ GmmParams FitGmm(const Matrix& rows, size_t components, int em_iterations,
   params.weights.assign(k, 1.0 / k);
 
   Matrix resp(n, k);
+  std::vector<double> log_weight;
+  Matrix log_norm;
   for (int iter = 0; iter < em_iterations; ++iter) {
-    // E step: responsibilities via log-space softmax over components.
-    for (size_t i = 0; i < n; ++i) {
-      double max_log = -1e300;
-      for (size_t c = 0; c < k; ++c) {
-        double log_p = std::log(std::max(params.weights[c], 1e-12));
-        for (size_t j = 0; j < d; ++j) {
-          const double var = params.variances(c, j);
-          const double diff = rows(i, j) - params.means(c, j);
-          log_p -= 0.5 * (std::log(2.0 * M_PI * var) + diff * diff / var);
-        }
-        resp(i, c) = log_p;
-        max_log = std::max(max_log, log_p);
-      }
-      double z = 0.0;
-      for (size_t c = 0; c < k; ++c) {
-        resp(i, c) = std::exp(resp(i, c) - max_log);
-        z += resp(i, c);
-      }
-      for (size_t c = 0; c < k; ++c) resp(i, c) /= z;
-    }
-    // M step.
-    for (size_t c = 0; c < k; ++c) {
-      double nk = 0.0;
-      for (size_t i = 0; i < n; ++i) nk += resp(i, c);
-      nk = std::max(nk, 1e-10);
-      for (size_t j = 0; j < d; ++j) {
-        double mean = 0.0;
-        for (size_t i = 0; i < n; ++i) mean += resp(i, c) * rows(i, j);
-        mean /= nk;
-        double var = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          const double diff = rows(i, j) - mean;
-          var += resp(i, c) * diff * diff;
-        }
-        params.means(c, j) = mean;
-        params.variances(c, j) = std::max(var / nk, kVarianceFloor);
-      }
-      params.weights[c] = nk / n;
-    }
+    ComponentLogTerms(params, &log_weight, &log_norm);
+    ForEach(pool, (n + kEStepRows - 1) / kEStepRows, [&](size_t chunk) {
+      EStepRows(rows, params, log_weight, log_norm, chunk * kEStepRows,
+                std::min(n, (chunk + 1) * kEStepRows), &resp);
+    });
+    ForEach(pool, k, [&](size_t c) { MStepComponent(rows, resp, c, &params); });
   }
   return params;
 }
@@ -146,7 +219,8 @@ GmmParams FitGmm(const Matrix& rows, size_t components, int em_iterations,
 Fitted<Transformer<Matrix, std::vector<double>>> GmmFisherEstimator::Fit(
     const DistDataset<Matrix>& data, ExecContext* ctx) const {
   const Matrix rows = StackRows(data);
-  GmmParams params = FitGmm(rows, components_, em_iterations_, seed_);
+  GmmParams params =
+      FitGmm(rows, components_, em_iterations_, seed_, ctx->pool());
 
   CostProfile cost;
   const double n = static_cast<double>(rows.rows());
@@ -176,7 +250,17 @@ CostProfile GmmFisherEstimator::EstimateCost(const DataStats& in,
   return cost;
 }
 
-std::vector<double> FisherVectorModel::Apply(const Matrix& descriptors) const {
+FisherVectorModel::FisherVectorModel(GmmParams params)
+    : params_(std::move(params)),
+      sigma_(params_.num_components(), params_.dim()) {
+  ComponentLogTerms(params_, &log_weight_, &log_norm_);
+  for (size_t i = 0; i < sigma_.size(); ++i) {
+    sigma_.data()[i] = std::sqrt(params_.variances.data()[i]);
+  }
+}
+
+KS_KERNEL_ALIGN std::vector<double> FisherVectorModel::Apply(
+    const Matrix& descriptors) const {
   const size_t k = params_.num_components();
   const size_t d = params_.dim();
   KS_CHECK_EQ(descriptors.cols(), d);
@@ -186,34 +270,23 @@ std::vector<double> FisherVectorModel::Apply(const Matrix& descriptors) const {
   std::vector<double> fv(2 * k * d + k, 0.0);
   if (n == 0) return fv;
 
-  std::vector<double> log_p(k);
+  std::vector<double> gamma(k);
   std::vector<double> occupancy(k, 0.0);
   for (size_t i = 0; i < n; ++i) {
     const double* x = descriptors.RowPtr(i);
-    double max_log = -1e300;
+    Posterior(params_, log_weight_, log_norm_, x, gamma.data());
     for (size_t c = 0; c < k; ++c) {
-      double lp = std::log(std::max(params_.weights[c], 1e-12));
-      for (size_t j = 0; j < d; ++j) {
-        const double var = params_.variances(c, j);
-        const double diff = x[j] - params_.means(c, j);
-        lp -= 0.5 * (std::log(2.0 * M_PI * var) + diff * diff / var);
-      }
-      log_p[c] = lp;
-      max_log = std::max(max_log, lp);
-    }
-    double z = 0.0;
-    for (size_t c = 0; c < k; ++c) z += std::exp(log_p[c] - max_log);
-    for (size_t c = 0; c < k; ++c) {
-      const double gamma = std::exp(log_p[c] - max_log) / z;
-      occupancy[c] += gamma;
-      if (gamma < 1e-8) continue;
+      const double g = gamma[c];
+      occupancy[c] += g;
+      if (g < 1e-8) continue;
+      const double* mean = params_.means.RowPtr(c);
+      const double* sigma = sigma_.RowPtr(c);
       double* mean_grad = fv.data() + c * d;
       double* var_grad = fv.data() + (k + c) * d;
       for (size_t j = 0; j < d; ++j) {
-        const double sigma = std::sqrt(params_.variances(c, j));
-        const double u = (x[j] - params_.means(c, j)) / sigma;
-        mean_grad[j] += gamma * u;
-        var_grad[j] += gamma * (u * u - 1.0);
+        const double u = (x[j] - mean[j]) / sigma[j];
+        mean_grad[j] += g * u;
+        var_grad[j] += g * (u * u - 1.0);
       }
     }
   }

@@ -10,6 +10,8 @@
 
 namespace keystone {
 
+class ThreadPool;
+
 /// Diagonal-covariance Gaussian mixture parameters.
 struct GmmParams {
   Matrix means;      // K x d
@@ -63,7 +65,7 @@ class GmmFisherEstimator : public Estimator<Matrix, std::vector<double>> {
 /// The fitted Fisher-vector encoder.
 class FisherVectorModel : public Transformer<Matrix, std::vector<double>> {
  public:
-  explicit FisherVectorModel(GmmParams params) : params_(std::move(params)) {}
+  explicit FisherVectorModel(GmmParams params);
 
   std::string Name() const override { return "FisherVector"; }
   std::vector<double> Apply(const Matrix& descriptors) const override;
@@ -85,11 +87,21 @@ class FisherVectorModel : public Transformer<Matrix, std::vector<double>> {
 
  private:
   GmmParams params_;
+  // Per-component terms no descriptor changes, computed once: log(w_c),
+  // log(2 pi var_cj) and sqrt(var_cj).
+  std::vector<double> log_weight_;
+  Matrix log_norm_;
+  Matrix sigma_;
 };
 
-/// Fits a diagonal GMM by EM. Exposed separately for tests and benches.
+/// Fits a diagonal GMM by EM (k-means++ seeding, `em_iterations` E/M
+/// rounds). Exposed separately for tests and benches. With a `pool` the
+/// E step runs in fixed 256-row chunks and the M step one task per
+/// component on its ParallelFor; nullptr runs serially. Every sum keeps the
+/// serial order, so any pool size returns the same bits, and the call is
+/// safe from inside a task on `pool` (as when a plan branch fits it).
 GmmParams FitGmm(const Matrix& rows, size_t components, int em_iterations,
-                 uint64_t seed);
+                 uint64_t seed, ThreadPool* pool = nullptr);
 
 }  // namespace keystone
 

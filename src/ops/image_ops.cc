@@ -64,10 +64,11 @@ CostProfile PatchExtractor::EstimateCost(const DataStats& in,
 }
 
 Matrix DenseSift::Apply(const Image& img) const {
-  // Grayscale gradient field.
-  const Image gray = img.channels == 1 ? img : GrayScaler().Apply(img);
-  const size_t h = gray.height;
-  const size_t w = gray.width;
+  // Gradient field of a grayscale image; a one-channel input is read in
+  // place.
+  if (img.channels != 1) return DenseSift::Apply(GrayScaler().Apply(img));
+  const size_t h = img.height;
+  const size_t w = img.width;
   const size_t cells_y = h / cell_size_;
   const size_t cells_x = w / cell_size_;
   KS_CHECK_GT(cells_y, 0u);
@@ -82,8 +83,8 @@ Matrix DenseSift::Apply(const Image& img) const {
   Matrix cell_hist(cells_y * cells_x, bins_);
   for (size_t y = 1; y + 1 < h; ++y) {
     for (size_t x = 1; x + 1 < w; ++x) {
-      const double gx = gray.at(0, y, x + 1) - gray.at(0, y, x - 1);
-      const double gy = gray.at(0, y + 1, x) - gray.at(0, y - 1, x);
+      const double gx = img.at(0, y, x + 1) - img.at(0, y, x - 1);
+      const double gy = img.at(0, y + 1, x) - img.at(0, y - 1, x);
       const double mag = std::sqrt(gx * gx + gy * gy);
       double angle = std::atan2(gy, gx);  // [-pi, pi]
       const double unit = (angle + M_PI) / (2.0 * M_PI);  // [0, 1]

@@ -544,6 +544,10 @@ TEST(DataflowTest, CleanChainInfersConcreteShapesAndPureEffects) {
 // --- Executor integration --------------------------------------------------
 
 TEST(ExecutorValidationTest, FitRejectsIllFormedPlan) {
+  // The executor starts the kernel pool's workers; a forked death-test
+  // child of a threaded process can block on a lock a worker held, so the
+  // child re-runs the test from a fresh exec instead.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   auto pipe = PipelineInput<double>("Input")
                   .AndThen(std::make_shared<AddConst>(1.0))
                   .AndThen(std::make_shared<MeanCenterer>(), Doubles({1, 2}));

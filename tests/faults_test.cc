@@ -520,6 +520,9 @@ TEST(FaultInjectionTest, MaterializedPlansPayLessRecoveryTime) {
 }
 
 TEST(FaultValidationDeathTest, InvalidFaultConfigAbortsTheFit) {
+  // The executor starts the kernel pool's workers: re-exec the death-test
+  // child rather than fork a threaded process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   FaultInjectionConfig config;
   config.task_failure_rate = 1.5;
   const FaultPlan plan(config);

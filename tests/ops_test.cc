@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/exec_context.h"
 #include "src/linalg/gemm.h"
 #include "src/linalg/vector_ops.h"
@@ -374,6 +379,306 @@ TEST(GmmTest, FisherVectorsDiscriminate) {
   const auto a2 = fv.Apply(draw(0.0));
   const auto b1 = fv.Apply(draw(3.0));
   EXPECT_LT(SquaredDistance(a1, a2), SquaredDistance(a1, b1));
+}
+
+// --- GMM kernels: bit identity with the unhoisted serial kernels ----------
+
+// The serial kernels the per-component tables and pool-parallel EM replaced,
+// kept verbatim as bit-identity references.
+Matrix ReferenceSeedCenters(const Matrix& rows, size_t k, Rng* rng) {
+  const size_t n = rows.rows();
+  const size_t d = rows.cols();
+  Matrix centers(k, d);
+  std::vector<double> dist_sq(n, 0.0);
+
+  size_t first = rng->NextIndex(n);
+  std::copy(rows.RowPtr(first), rows.RowPtr(first) + d, centers.RowPtr(0));
+  for (size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      const double diff = rows(i, j) - centers(0, j);
+      s += diff * diff;
+    }
+    dist_sq[i] = s;
+  }
+  for (size_t c = 1; c < k; ++c) {
+    double total = 0.0;
+    for (double v : dist_sq) total += v;
+    size_t chosen = 0;
+    if (total > 0) {
+      double target = rng->NextDouble() * total;
+      for (size_t i = 0; i < n; ++i) {
+        target -= dist_sq[i];
+        if (target <= 0) {
+          chosen = i;
+          break;
+        }
+      }
+    } else {
+      chosen = rng->NextIndex(n);
+    }
+    std::copy(rows.RowPtr(chosen), rows.RowPtr(chosen) + d,
+              centers.RowPtr(c));
+    for (size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        const double diff = rows(i, j) - centers(c, j);
+        s += diff * diff;
+      }
+      dist_sq[i] = std::min(dist_sq[i], s);
+    }
+  }
+  return centers;
+}
+
+GmmParams ReferenceFitGmm(const Matrix& rows, size_t components,
+                          int em_iterations, uint64_t seed) {
+  constexpr double kVarianceFloor = 1e-6;
+  const size_t n = rows.rows();
+  const size_t d = rows.cols();
+  const size_t k = std::min(components, n);
+  Rng rng(seed);
+
+  GmmParams params;
+  params.means = ReferenceSeedCenters(rows, k, &rng);
+  params.variances = Matrix(k, d, 0.1);
+  params.weights.assign(k, 1.0 / k);
+
+  Matrix resp(n, k);
+  for (int iter = 0; iter < em_iterations; ++iter) {
+    // E step: responsibilities via log-space softmax over components.
+    for (size_t i = 0; i < n; ++i) {
+      double max_log = -1e300;
+      for (size_t c = 0; c < k; ++c) {
+        double log_p = std::log(std::max(params.weights[c], 1e-12));
+        for (size_t j = 0; j < d; ++j) {
+          const double var = params.variances(c, j);
+          const double diff = rows(i, j) - params.means(c, j);
+          log_p -= 0.5 * (std::log(2.0 * M_PI * var) + diff * diff / var);
+        }
+        resp(i, c) = log_p;
+        max_log = std::max(max_log, log_p);
+      }
+      double z = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        resp(i, c) = std::exp(resp(i, c) - max_log);
+        z += resp(i, c);
+      }
+      for (size_t c = 0; c < k; ++c) resp(i, c) /= z;
+    }
+    // M step.
+    for (size_t c = 0; c < k; ++c) {
+      double nk = 0.0;
+      for (size_t i = 0; i < n; ++i) nk += resp(i, c);
+      nk = std::max(nk, 1e-10);
+      for (size_t j = 0; j < d; ++j) {
+        double mean = 0.0;
+        for (size_t i = 0; i < n; ++i) mean += resp(i, c) * rows(i, j);
+        mean /= nk;
+        double var = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          const double diff = rows(i, j) - mean;
+          var += resp(i, c) * diff * diff;
+        }
+        params.means(c, j) = mean;
+        params.variances(c, j) = std::max(var / nk, kVarianceFloor);
+      }
+      params.weights[c] = nk / n;
+    }
+  }
+  return params;
+}
+
+std::vector<double> ReferenceFisherVector(const GmmParams& params_,
+                                          const Matrix& descriptors) {
+  const size_t k = params_.num_components();
+  const size_t d = params_.dim();
+  const size_t n = descriptors.rows();
+  // Layout: [mean gradients (k*d) | variance gradients (k*d) |
+  //          weight gradients (k)].
+  std::vector<double> fv(2 * k * d + k, 0.0);
+  if (n == 0) return fv;
+
+  std::vector<double> log_p(k);
+  std::vector<double> occupancy(k, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* x = descriptors.RowPtr(i);
+    double max_log = -1e300;
+    for (size_t c = 0; c < k; ++c) {
+      double lp = std::log(std::max(params_.weights[c], 1e-12));
+      for (size_t j = 0; j < d; ++j) {
+        const double var = params_.variances(c, j);
+        const double diff = x[j] - params_.means(c, j);
+        lp -= 0.5 * (std::log(2.0 * M_PI * var) + diff * diff / var);
+      }
+      log_p[c] = lp;
+      max_log = std::max(max_log, lp);
+    }
+    double z = 0.0;
+    for (size_t c = 0; c < k; ++c) z += std::exp(log_p[c] - max_log);
+    for (size_t c = 0; c < k; ++c) {
+      const double gamma = std::exp(log_p[c] - max_log) / z;
+      occupancy[c] += gamma;
+      if (gamma < 1e-8) continue;
+      double* mean_grad = fv.data() + c * d;
+      double* var_grad = fv.data() + (k + c) * d;
+      for (size_t j = 0; j < d; ++j) {
+        const double sigma = std::sqrt(params_.variances(c, j));
+        const double u = (x[j] - params_.means(c, j)) / sigma;
+        mean_grad[j] += gamma * u;
+        var_grad[j] += gamma * (u * u - 1.0);
+      }
+    }
+  }
+
+  // Scale by 1/(n sqrt(w_c)) and apply power + L2 normalization. The weight
+  // block is the occupancy gradient (gamma_c - w_c)/sqrt(w_c).
+  for (size_t c = 0; c < k; ++c) {
+    const double w_c = std::max(params_.weights[c], 1e-12);
+    const double scale = 1.0 / (n * std::sqrt(w_c));
+    for (size_t j = 0; j < d; ++j) {
+      fv[c * d + j] *= scale;
+      fv[(k + c) * d + j] *= scale / std::sqrt(2.0);
+    }
+    fv[2 * k * d + c] = (occupancy[c] / n - w_c) / std::sqrt(w_c);
+  }
+  double norm = 0.0;
+  for (auto& v : fv) {
+    v = (v >= 0 ? 1.0 : -1.0) * std::sqrt(std::fabs(v));
+    norm += v * v;
+  }
+  norm = std::sqrt(norm);
+  if (norm > 1e-12) {
+    for (auto& v : fv) v /= norm;
+  }
+  return fv;
+}
+
+bool SameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+void ExpectSameParams(const GmmParams& got, const GmmParams& want) {
+  EXPECT_TRUE(SameBits(got.means, want.means));
+  EXPECT_TRUE(SameBits(got.variances, want.variances));
+  EXPECT_TRUE(SameBits(got.weights, want.weights));
+}
+
+// Runs fn with no pool, then with pools of 1, 2 and 4 threads.
+void ForEachPool(const std::function<void(ThreadPool*)>& fn) {
+  {
+    SCOPED_TRACE("no pool");
+    fn(nullptr);
+  }
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + "-thread pool");
+    ThreadPool pool(threads);
+    fn(&pool);
+  }
+}
+
+// n rows around `clusters` overlapping centers, so responsibilities range
+// from shared to below the encoder's 1e-8 cutoff.
+Matrix ClusteredRows(size_t n, size_t d, size_t clusters, uint64_t seed) {
+  Rng rng(seed);
+  const Matrix centers = Matrix::GaussianRandom(clusters, d, &rng);
+  Matrix rows(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t c = rng.NextIndex(clusters);
+    for (size_t j = 0; j < d; ++j) {
+      rows(i, j) = rng.Gaussian(1.5 * centers(c, j), 0.5 + 0.1 * j);
+    }
+  }
+  return rows;
+}
+
+Matrix TopRows(const Matrix& rows, size_t n) {
+  Matrix top(n, rows.cols());
+  std::copy(rows.data(), rows.data() + n * rows.cols(), top.data());
+  return top;
+}
+
+TEST(GmmKernelTest, FitAndEncodeMatchSerialKernelsBitForBit) {
+  struct Shape {
+    size_t n, d, k;
+  };
+  // n = 1; n < k; n not a multiple of the 256-row E-step chunk; the
+  // ImageNet workload's SIFT and LCS descriptor stacks; a wider d and k.
+  const Shape shapes[] = {{1, 6, 5},     {3, 6, 5},     {700, 6, 5},
+                          {15000, 6, 5}, {21600, 6, 5}, {1000, 32, 8}};
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE("n=" + std::to_string(s.n) + " d=" + std::to_string(s.d) +
+                 " k=" + std::to_string(s.k));
+    const Matrix rows = ClusteredRows(s.n, s.d, s.k, 500 + s.n + s.d);
+    const GmmParams want = ReferenceFitGmm(rows, s.k, 10, 23);
+    // One image's worth of descriptors, all of them, and none.
+    const Matrix encoded[] = {TopRows(rows, std::min<size_t>(s.n, 36)), rows,
+                              Matrix(0, s.d)};
+    ForEachPool([&](ThreadPool* pool) {
+      GmmParams got = FitGmm(rows, s.k, 10, 23, pool);
+      ExpectSameParams(got, want);
+      const FisherVectorModel model(std::move(got));
+      for (const Matrix& x : encoded) {
+        EXPECT_TRUE(SameBits(model.Apply(x), ReferenceFisherVector(want, x)))
+            << x.rows() << " descriptors";
+      }
+    });
+  }
+}
+
+TEST(GmmKernelTest, FitInsideATaskOnTheSamePoolMatches) {
+  // A plan branch fits GMM on a pool helper, whose E and M steps then run
+  // ParallelFor on that same pool.
+  const Matrix rows = ClusteredRows(3000, 6, 5, 41);
+  const GmmParams want = ReferenceFitGmm(rows, 5, 10, 47);
+  ThreadPool pool(4);
+  std::vector<GmmParams> got(3);
+  pool.ParallelFor(got.size(), [&](size_t t) {
+    got[t] = FitGmm(rows, 5, 10, 47, &pool);
+  });
+  for (const GmmParams& params : got) ExpectSameParams(params, want);
+}
+
+TEST(GmmKernelTest, EstimatorFitIsPoolSizeInvariant) {
+  // Descriptor matrices of 25 rows, as dense SIFT yields per image, over
+  // several partitions; GmmFisherEstimator::Fit takes the context's pool.
+  const Matrix rows = ClusteredRows(2500, 6, 5, 53);
+  std::vector<Matrix> images;
+  for (size_t i = 0; i < 100; ++i) {
+    Matrix m(25, 6);
+    std::copy(rows.RowPtr(25 * i), rows.RowPtr(25 * (i + 1)), m.data());
+    images.push_back(std::move(m));
+  }
+  const auto data = DistDataset<Matrix>::Partitioned(images, 4);
+  const GmmFisherEstimator estimator(5, 10, 23);
+  const GmmParams want = ReferenceFitGmm(rows, 5, 10, 23);
+  std::vector<CostProfile> costs;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + "-thread pool");
+    ThreadPool pool(threads);
+    ExecContext ctx = MakeContext();
+    ctx.set_pool(&pool);
+    const auto fitted = estimator.Fit(*data, &ctx);
+    const auto* model =
+        dynamic_cast<const FisherVectorModel*>(fitted.model.get());
+    ASSERT_NE(model, nullptr);
+    ExpectSameParams(model->params(), want);
+    ASSERT_TRUE(fitted.cost.has_value());
+    costs.push_back(*fitted.cost);
+  }
+  ASSERT_EQ(costs.size(), 2u);
+  EXPECT_EQ(costs[0].flops, costs[1].flops);
+  EXPECT_EQ(costs[0].bytes, costs[1].bytes);
+  EXPECT_EQ(costs[0].network, costs[1].network);
+  EXPECT_EQ(costs[0].rounds, costs[1].rounds);
 }
 
 // --- KMeans -----------------------------------------------------------------
