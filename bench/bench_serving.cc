@@ -157,9 +157,9 @@ struct TelemetryLeg {
   double overhead_fraction = 0.0;
 };
 
-/// Runs the saturating batched configuration with a TelemetryHub listening
-/// on the server's virtual clock. `jsonl_path` (optional) additionally
-/// streams the snapshots to disk through the async exporter.
+/// Runs the saturating batched configuration with a TelemetryHub ticked by
+/// the server's event loop. `jsonl_path` (optional) additionally writes
+/// the snapshots to disk, complete when the run returns.
 TelemetryLeg RunTelemetryLeg(const ServingFixture& fixture, double rate,
                              size_t requests, size_t num_threads,
                              double sample_rate,
@@ -184,9 +184,7 @@ TelemetryLeg RunTelemetryLeg(const ServingFixture& fixture, double rate,
       "youtube", ServablePipeline(fixture.youtube), fixture.youtube_codec,
       options);
 
-  obs::TelemetryOptions topt;
-  topt.window_seconds = 0.5;
-  obs::TelemetryHub hub(topt);
+  obs::TelemetryHub hub(0.5);
   if (!jsonl_path.empty() && !hub.AttachJsonlWriter(jsonl_path)) {
     std::fprintf(stderr, "[serving] FAILED to open telemetry out %s\n",
                  jsonl_path.c_str());
@@ -204,7 +202,10 @@ TelemetryLeg RunTelemetryLeg(const ServingFixture& fixture, double rate,
   Timer wall;
   leg.report = server.Run(&load);
   leg.wall_seconds = wall.ElapsedSeconds();
-  hub.Flush();
+  if (!jsonl_path.empty() && !hub.Flush()) {
+    std::fprintf(stderr, "[serving] FAILED to write telemetry out %s\n",
+                 jsonl_path.c_str());
+  }
   leg.telemetry = hub.SnapshotJsonl();
   leg.responses = leg.report.ResponseStream();
   for (const obs::TraceSpan& span : recorder.Spans()) {
@@ -409,8 +410,8 @@ int Run(int argc, char** argv) {
               fusion_identical ? "byte-identical" : "MISMATCH");
 
   // Telemetry: the windowed snapshot stream must be byte-identical across
-  // kernel-pool sizes (the hub ticks off the serial event loop's virtual
-  // clock), head sampling at 0.1 must cut request spans >= 10x while the
+  // kernel-pool sizes (the serial event loop ticks the hub in virtual
+  // time), head sampling at 0.1 must cut request spans >= 10x while the
   // exact latency accounting is untouched, and the hub's self-measured
   // overhead must stay under 2% of serving wall time. The overhead legs
   // serve a longer request stream than the sweep so the wall-time

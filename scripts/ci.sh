@@ -212,7 +212,9 @@ if [[ "$RUN_SANITIZED" == 1 ]]; then
       # suite, whose ledger/metrics/trace fan-out runs inside that scheduler;
       # serve = the PipelineServer request path, which runs kernels on its
       # own pool while the event loop publishes obs state; telemetry = the
-      # hub + async JSONL writer thread handoff; catalog = the artifact
+      # hub, recorded and ticked from the serving loop and the runner's
+      # flush while the kernel pool runs batches and nodes (the hub starts
+      # no thread of its own); catalog = the artifact
       # catalog, whose tiered store is read concurrently by branch-parallel
       # plan runs; kernels = the blocked Cholesky and Gram, whose packed
       # panels and row chunks are shared across the kernel pool's threads,

@@ -16,6 +16,9 @@
 #      ProfileStore, ResourceTimeline, ThreadPool) only through ExecContext:
 #      no `<Sink>::Global` outside src/core/exec_context.h (the context's
 #      defaults) and the singleton's own definition.
+#   6. ThreadPool is the only place src/ starts a thread: no std::thread or
+#      std::jthread outside src/common/thread_pool.{h,cc} (comments aside;
+#      std::thread::hardware_concurrency is allowed anywhere).
 #
 # Exit status 1 when any check fails.
 set -euo pipefail
@@ -125,6 +128,22 @@ for sink in "${!sink_home[@]}"; do
     complain "$file:${line%%:*}: ${sink}::Global outside ExecContext"
   done < <(grep -rnoE "\b${sink}::Global\b" src || true)
 done
+
+# --- 6. Threads start only in the ThreadPool --------------------------------
+mapfile -t outside_pool < <(find src \( -name '*.h' -o -name '*.cc' \) \
+  ! -path 'src/common/thread_pool.*' | sort)
+while IFS= read -r hit; do
+  complain "$hit (run the work on the ThreadPool)"
+done < <(awk '
+  {
+    line = $0
+    sub(/\/\/.*/, "", line)
+    gsub(/std::thread::hardware_concurrency/, "", line)
+    if (line ~ /std::j?thread([^[:alnum:]_]|$)/) {
+      printf "%s:%d: std::thread outside src/common/thread_pool\n",
+             FILENAME, FNR
+    }
+  }' "${outside_pool[@]}")
 
 if [[ "$fail" != 0 ]]; then
   echo "lint: FAILED"

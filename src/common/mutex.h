@@ -24,7 +24,6 @@ enum LockRank : int {
   kLockRankDecisionLog = 32,   // obs::OptimizerDecisionLog::mu_
   kLockRankTimeline = 34,      // obs::ResourceTimeline::mu_
   kLockRankTelemetry = 36,     // obs::TelemetryHub::mu_
-  kLockRankTelemetryWriter = 38,  // obs::TelemetryJsonlWriter::mu_
   kLockRankThreadPool = 40,    // ThreadPool::mu_
   kLockRankMetricsShard = 50,  // obs::MetricsRegistry stripes (leaf locks)
 };

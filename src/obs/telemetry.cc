@@ -1,6 +1,7 @@
 #include "src/obs/telemetry.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -111,94 +112,19 @@ std::string FormatWindowSnapshot(const TelemetryWindowSnapshot& snapshot) {
   return line;
 }
 
-TelemetryJsonlWriter::TelemetryJsonlWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "w");
-  if (file_ == nullptr) return;
-  thread_ = std::thread([this] { Loop(); });
+TelemetryHub::TelemetryHub(double window_seconds)
+    : window_seconds_(window_seconds) {
+  KS_CHECK_GT(window_seconds_, 0.0);
 }
 
-TelemetryJsonlWriter::~TelemetryJsonlWriter() {
-  if (file_ == nullptr) return;
-  {
-    MutexLock lock(&mu_);
-    stop_ = true;
-  }
-  work_cv_.NotifyAll();
-  thread_.join();
-  std::fclose(file_);
-}
-
-// Appends deliberately do NOT notify the writer thread: a futex wake per
-// window would cost the recording path more than the enqueue itself. The
-// writer polls on a short deadline instead (and Flush/shutdown notify).
-
-void TelemetryJsonlWriter::AppendRaw(std::string text) {
-  if (file_ == nullptr) return;
+TelemetryHub::~TelemetryHub() {
   MutexLock lock(&mu_);
-  queue_.push_back(Item{std::move(text), nullptr});
+  WriteTail();
+  if (file_ != nullptr) std::fclose(file_);
 }
 
-void TelemetryJsonlWriter::AppendSnapshot(
-    std::shared_ptr<const TelemetryWindowSnapshot> snapshot) {
-  if (file_ == nullptr) return;
-  MutexLock lock(&mu_);
-  queue_.push_back(Item{std::string(), std::move(snapshot)});
-}
-
-void TelemetryJsonlWriter::Flush() {
-  if (file_ == nullptr) return;
-  MutexLock lock(&mu_);
-  work_cv_.NotifyAll();
-  // The writer thread fflushes after every drain, so an empty queue with
-  // no write in flight means everything appended so far is durable.
-  while (!queue_.empty() || writing_) {
-    drained_cv_.Wait(&mu_);
-  }
-}
-
-void TelemetryJsonlWriter::Loop() {
-  // Poll deadline: the longest an enqueued snapshot waits before the
-  // writer picks it up (wall time; invisible to the virtual-time stream).
-  constexpr double kDrainSeconds = 0.005;
-  for (;;) {
-    std::deque<Item> batch;
-    {
-      MutexLock lock(&mu_);
-      while (queue_.empty() && !stop_) {
-        work_cv_.WaitFor(&mu_, kDrainSeconds);
-      }
-      if (queue_.empty() && stop_) return;
-      batch.swap(queue_);
-      writing_ = true;
-    }
-    for (const Item& item : batch) {
-      // Snapshot items are formatted here, on the writer thread, so the
-      // recording path never pays serialization costs.
-      const std::string text = item.snapshot != nullptr
-                                   ? FormatWindowSnapshot(*item.snapshot)
-                                   : item.raw;
-      std::fwrite(text.data(), 1, text.size(), file_);
-      std::fputc('\n', file_);
-    }
-    std::fflush(file_);
-    {
-      MutexLock lock(&mu_);
-      writing_ = false;
-      if (queue_.empty()) drained_cv_.NotifyAll();
-    }
-  }
-}
-
-TelemetryHub::TelemetryHub(TelemetryOptions options)
-    : options_(options) {
-  KS_CHECK_GT(options_.window_seconds, 0.0);
-  KS_CHECK_GT(options_.ring_windows, 0u);
-}
-
-TelemetryHub::~TelemetryHub() = default;
-
-TelemetryHub::Series& TelemetryHub::GetSeries(const std::string& name,
-                                              TelemetrySeriesKind kind) {
+TelemetryHub::SeriesId TelemetryHub::FindOrRegister(const std::string& name,
+                                                    TelemetrySeriesKind kind) {
   auto it = index_.find(name);
   if (it == index_.end()) {
     auto series = std::make_unique<Series>();
@@ -207,11 +133,14 @@ TelemetryHub::Series& TelemetryHub::GetSeries(const std::string& name,
     it = index_.emplace(name, registry_.size() - 1).first;
     registry_.back()->name = &it->first;
   }
-  return GetSeriesById(it->second, kind);
+  KS_CHECK(registry_[it->second]->kind == kind)
+      << "telemetry series '" << name
+      << "' already registered with a different kind";
+  return it->second;
 }
 
-TelemetryHub::Series& TelemetryHub::GetSeriesById(SeriesId id,
-                                                  TelemetrySeriesKind kind) {
+TelemetryHub::Series& TelemetryHub::LiveSeries(SeriesId id,
+                                               TelemetrySeriesKind kind) {
   KS_CHECK_LT(id, registry_.size());
   Series& series = *registry_[id];
   KS_CHECK(series.kind == kind)
@@ -232,133 +161,88 @@ TelemetryHub::Series& TelemetryHub::GetSeriesById(SeriesId id,
 TelemetryHub::SeriesId TelemetryHub::RegisterSeries(const std::string& name,
                                                     TelemetrySeriesKind kind) {
   MutexLock lock(&mu_);
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    auto series = std::make_unique<Series>();
-    series->kind = kind;
-    registry_.push_back(std::move(series));
-    it = index_.emplace(name, registry_.size() - 1).first;
-    registry_.back()->name = &it->first;
-  }
   // Registration alone does not revive the series: it stays invisible to
   // snapshots until the first record touches it.
-  KS_CHECK(registry_[it->second]->kind == kind)
-      << "telemetry series '" << name
-      << "' already registered with a different kind";
-  return it->second;
+  return FindOrRegister(name, kind);
 }
 
-// The recording entry points share a 1-in-N sampled stopwatch: timing
-// every op would itself be a measurable fraction of the op's cost, so one
-// call in kOverheadSampleEvery is timed and scaled back up. Each sample
-// pairs the op interval with a back-to-back null interval (two clock reads
-// with nothing between them, taken at the same call site an instant
-// earlier) and bills the difference: the null interval measures the
-// in-situ cost of the stopwatch itself — including cold-cache clock reads
-// the hot loop would never pay — so the act of measuring is subtracted
-// out under the same cache conditions it was incurred in, rather than via
-// a constant calibrated in a warm loop.
+namespace {
 
-void TelemetryHub::Count(const std::string& name, double delta) {
-  if (!SampleStopwatch(&record_ops_)) {
-    MutexLock lock(&mu_);
-    CountSeries(GetSeries(name, TelemetrySeriesKind::kCounter), delta);
-    return;
-  }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
-  MutexLock lock(&mu_);
-  CountSeries(GetSeries(name, TelemetrySeriesKind::kCounter), delta);
-  record_overhead_ +=
-      static_cast<double>(kOverheadSampleEvery) *
-      std::min(kOverheadSampleClampSeconds,
-               std::max(0.0, timer.ElapsedSeconds() - null_cost));
-}
+// The recording entry points and Tick share a 1-in-N sampled stopwatch:
+// timing every op would itself be a measurable fraction of the op's cost,
+// so one call in kOverheadSampleEvery is timed and scaled back up. Each
+// sample pairs the op interval with a back-to-back null interval (two
+// clock reads with nothing between them, taken at the same call site an
+// instant earlier) and bills the difference: the null interval measures
+// the in-situ cost of the stopwatch itself — including cold-cache clock
+// reads the hot loop would never pay — so the act of measuring is
+// subtracted out under the same cache conditions it was incurred in,
+// rather than via a constant calibrated in a warm loop.
+constexpr uint64_t kOverheadSampleEvery = 16;  // a power of two
 
-void TelemetryHub::CountId(SeriesId id, double delta) {
-  if (!SampleStopwatch(&record_ops_)) {
-    MutexLock lock(&mu_);
-    CountSeries(GetSeriesById(id, TelemetrySeriesKind::kCounter), delta);
-    return;
-  }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
-  MutexLock lock(&mu_);
-  CountSeries(GetSeriesById(id, TelemetrySeriesKind::kCounter), delta);
-  record_overhead_ +=
-      static_cast<double>(kOverheadSampleEvery) *
-      std::min(kOverheadSampleClampSeconds,
-               std::max(0.0, timer.ElapsedSeconds() - null_cost));
-}
+// Winsorization bound for one sampled interval. The record/tick paths do
+// bounded work under the hub mutex (~1µs), so an interval far above that
+// means the thread was descheduled mid-measure — and the ×16 sampling
+// multiplier would bill 16× the preemption, not 16× the hub. Clamping at
+// ~20–50× the typical op cost keeps genuine cost intact while bounding
+// one preempted sample's damage to ~0.3ms of billed overhead.
+constexpr double kOverheadSampleClampSeconds = 20e-6;
 
-void TelemetryHub::SetGauge(const std::string& name, double value) {
-  if (!SampleStopwatch(&record_ops_)) {
-    MutexLock lock(&mu_);
-    SetGaugeSeries(GetSeries(name, TelemetrySeriesKind::kGauge), value);
-    return;
+class SampledStopwatch {
+ public:
+  /// Starts timing when this call draws the 1-in-kOverheadSampleEvery
+  /// sample of `ops`; otherwise reads no clock at all.
+  explicit SampledStopwatch(std::atomic<uint64_t>* ops) {
+    if ((ops->fetch_add(1, std::memory_order_relaxed) &
+         (kOverheadSampleEvery - 1)) != 0) {
+      return;
+    }
+    Timer null_probe;
+    timer_.emplace();
+    null_cost_ = null_probe.ElapsedSeconds();
   }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
-  MutexLock lock(&mu_);
-  SetGaugeSeries(GetSeries(name, TelemetrySeriesKind::kGauge), value);
-  record_overhead_ +=
-      static_cast<double>(kOverheadSampleEvery) *
-      std::min(kOverheadSampleClampSeconds,
-               std::max(0.0, timer.ElapsedSeconds() - null_cost));
-}
 
-void TelemetryHub::SetGaugeId(SeriesId id, double value) {
-  if (!SampleStopwatch(&record_ops_)) {
-    MutexLock lock(&mu_);
-    SetGaugeSeries(GetSeriesById(id, TelemetrySeriesKind::kGauge), value);
-    return;
+  /// Adds the scaled-up interval since construction, less the null
+  /// interval and `excluded` seconds timed elsewhere, to `*total`.
+  void Bill(double excluded, double* total) const {
+    if (!timer_.has_value()) return;
+    const double elapsed = timer_->ElapsedSeconds() - excluded - null_cost_;
+    *total += static_cast<double>(kOverheadSampleEvery) *
+              std::min(kOverheadSampleClampSeconds, std::max(0.0, elapsed));
   }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
-  MutexLock lock(&mu_);
-  SetGaugeSeries(GetSeriesById(id, TelemetrySeriesKind::kGauge), value);
-  record_overhead_ +=
-      static_cast<double>(kOverheadSampleEvery) *
-      std::min(kOverheadSampleClampSeconds,
-               std::max(0.0, timer.ElapsedSeconds() - null_cost));
-}
 
-void TelemetryHub::Observe(const std::string& name, double value) {
-  if (!SampleStopwatch(&record_ops_)) {
-    MutexLock lock(&mu_);
-    ObserveSeries(GetSeries(name, TelemetrySeriesKind::kHistogram), value);
-    return;
-  }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
-  MutexLock lock(&mu_);
-  ObserveSeries(GetSeries(name, TelemetrySeriesKind::kHistogram), value);
-  record_overhead_ +=
-      static_cast<double>(kOverheadSampleEvery) *
-      std::min(kOverheadSampleClampSeconds,
-               std::max(0.0, timer.ElapsedSeconds() - null_cost));
-}
+ private:
+  std::optional<Timer> timer_;
+  double null_cost_ = 0.0;
+};
 
-void TelemetryHub::ObserveId(SeriesId id, double value) {
-  if (!SampleStopwatch(&record_ops_)) {
-    MutexLock lock(&mu_);
-    ObserveSeries(GetSeriesById(id, TelemetrySeriesKind::kHistogram), value);
-    return;
-  }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
+}  // namespace
+
+void TelemetryHub::Record(const std::string* name, SeriesId id,
+                          TelemetrySeriesKind kind, double value) {
+  SampledStopwatch stopwatch(&record_ops_);
   MutexLock lock(&mu_);
-  ObserveSeries(GetSeriesById(id, TelemetrySeriesKind::kHistogram), value);
-  record_overhead_ +=
-      static_cast<double>(kOverheadSampleEvery) *
-      std::min(kOverheadSampleClampSeconds,
-               std::max(0.0, timer.ElapsedSeconds() - null_cost));
+  if (name != nullptr) id = FindOrRegister(*name, kind);
+  Series& series = LiveSeries(id, kind);
+  switch (kind) {
+    case TelemetrySeriesKind::kCounter:
+      series.window_delta += value;
+      series.total += value;
+      break;
+    case TelemetrySeriesKind::kGauge:
+      series.gauge_value = value;
+      break;
+    case TelemetrySeriesKind::kHistogram:
+      // Lazily (re)allocated per window: the close moves the tallies out
+      // wholesale instead of copying 1KB+ of buckets per histogram series.
+      if (series.window_hist == nullptr) {
+        series.window_hist = std::make_shared<HistogramBuckets>();
+      }
+      series.window_hist->Record(value);
+      break;
+  }
+  window_touched_ = true;
+  stopwatch.Bill(0.0, &record_overhead_);
 }
 
 void TelemetryHub::TickLocked(double now_seconds) {
@@ -370,7 +254,7 @@ void TelemetryHub::TickLocked(double now_seconds) {
       // the window containing `now_` instead of rolling one empty
       // window at a time (ledger-driven ticks can jump thousands of
       // windows at once).
-      open_index_ = static_cast<uint64_t>(now_ / options_.window_seconds);
+      open_index_ = static_cast<uint64_t>(now_ / window_seconds_);
       break;
     }
     CloseOpenWindow();
@@ -378,27 +262,15 @@ void TelemetryHub::TickLocked(double now_seconds) {
 }
 
 void TelemetryHub::Tick(double now_seconds) {
-  if (!SampleStopwatch(&tick_ops_)) {
-    MutexLock lock(&mu_);
-    TickLocked(now_seconds);
-    return;
-  }
-  Timer null_probe;
-  Timer timer;
-  const double null_cost = null_probe.ElapsedSeconds();
+  SampledStopwatch stopwatch(&tick_ops_);
   MutexLock lock(&mu_);
-  // Window closes time themselves fully into export_overhead_; subtract
+  // Window closes time themselves fully into export_overhead_; exclude
   // that span so the scaled-up sample covers only the per-tick residual
   // (a sampled tick that happens to close windows must not count the
   // close 16x).
   const double export_before = export_overhead_;
   TickLocked(now_seconds);
-  const double elapsed = timer.ElapsedSeconds() -
-                         (export_overhead_ - export_before) - null_cost;
-  if (elapsed > 0.0) {
-    tick_overhead_ += static_cast<double>(kOverheadSampleEvery) *
-                      std::min(kOverheadSampleClampSeconds, elapsed);
-  }
+  stopwatch.Bill(export_overhead_ - export_before, &tick_overhead_);
 }
 
 void TelemetryHub::CloseOpenWindow() {
@@ -407,21 +279,19 @@ void TelemetryHub::CloseOpenWindow() {
   // series into its next-window state in one pass. Histogram tallies are
   // moved (never copied) into immutable shared_ptrs, so the snapshot
   // costs reference bumps and pointer swaps — all formatting and
-  // sliding-merge work is deferred to SnapshotJsonl()/the writer thread.
-  auto snapshot = std::make_shared<TelemetryWindowSnapshot>();
-  snapshot->epoch = epoch_;
-  snapshot->window = open_index_;
-  snapshot->start_seconds =
-      static_cast<double>(open_index_) * options_.window_seconds;
-  snapshot->end_seconds = WindowEnd(open_index_);
-  snapshot->window_seconds = options_.window_seconds;
-  snapshot->series.reserve(index_.size());
+  // sliding-merge work is deferred to FormatPending().
+  TelemetryWindowSnapshot& snapshot = pending_.emplace_back();
+  snapshot.epoch = epoch_;
+  snapshot.window = open_index_;
+  snapshot.start_seconds = static_cast<double>(open_index_) * window_seconds_;
+  snapshot.end_seconds = WindowEnd(open_index_);
+  snapshot.window_seconds = window_seconds_;
+  snapshot.series.reserve(index_.size());
   for (const auto& [name, id] : index_) {
     (void)name;
     Series& series = *registry_[id];
     if (!series.live) continue;
-    snapshot->series.emplace_back();
-    TelemetrySeriesSnapshot& out = snapshot->series.back();
+    TelemetrySeriesSnapshot& out = snapshot.series.emplace_back();
     out.name = series.name;
     out.kind = series.kind;
     switch (series.kind) {
@@ -436,31 +306,28 @@ void TelemetryHub::CloseOpenWindow() {
       case TelemetrySeriesKind::kHistogram: {
         std::shared_ptr<const HistogramBuckets> closed;
         if (series.window_hist != nullptr && !series.window_hist->Empty()) {
-          // Move — not copy — the window's tallies; ObserveSeries
-          // reallocates lazily on the next sample.
+          // Move — not copy — the window's tallies; Record reallocates
+          // lazily on the next sample.
           closed = std::move(series.window_hist);
         }
         out.window_hist = closed;
         // Sliding span: the trailing ring windows still inside
-        // ring_windows of the closing index.
+        // kRingWindows of the closing index.
         out.sliding_parts.reserve(series.ring.size());
         for (const auto& [index, hist] : series.ring) {
-          if (index + options_.ring_windows > open_index_) {
+          if (index + kRingWindows > open_index_) {
             out.sliding_parts.push_back(hist);
           }
         }
         if (closed != nullptr) series.ring.emplace_back(open_index_, closed);
         while (!series.ring.empty() &&
-               series.ring.front().first + options_.ring_windows <=
-                   open_index_ + 1) {
+               series.ring.front().first + kRingWindows <= open_index_ + 1) {
           series.ring.pop_front();
         }
         break;
       }
     }
   }
-  if (writer_ != nullptr) writer_->AppendSnapshot(snapshot);
-  pending_.push_back(std::move(snapshot));
   ++windows_emitted_;
   window_touched_ = false;
   ++open_index_;
@@ -480,7 +347,6 @@ void TelemetryHub::CloseEpoch() {
   }
   const bool pristine =
       !any_live && open_index_ == 0 && !window_touched_ && now_ == 0.0;
-  double drain_seconds = 0.0;
   if (!pristine) {
     if (window_touched_) CloseOpenWindow();
     // Retire (not destroy) every series: ids stay valid, and the next
@@ -490,48 +356,50 @@ void TelemetryHub::CloseEpoch() {
     window_touched_ = false;
     now_ = 0.0;
     ++epoch_;
-    if (writer_ != nullptr) {
-      // Waiting for the async formatter to drain is a shutdown barrier —
-      // mostly scheduler round-trip latency while the serving loop is
-      // already done — so it is tracked apart from the interference
-      // overheads that the <2% gate measures.
-      Timer drain;
-      writer_->Flush();
-      drain_seconds = drain.ElapsedSeconds();
-      drain_wait_ += drain_seconds;
-    }
   }
   // Epoch closes are rare (one per Run), so they are timed fully rather
   // than sampled.
-  const double elapsed = timer.ElapsedSeconds() -
-                         (export_overhead_ - export_before) - drain_seconds;
+  const double elapsed =
+      timer.ElapsedSeconds() - (export_overhead_ - export_before);
   if (elapsed > 0.0) tick_overhead_ += elapsed;
+  // After the stopwatch: the serving loop is done when an epoch closes, so
+  // formatting and disk writes are not work stolen from the request path.
+  WriteTail();
 }
 
 bool TelemetryHub::AttachJsonlWriter(const std::string& path) {
-  auto writer = std::make_unique<TelemetryJsonlWriter>(path);
-  if (!writer->ok()) return false;
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) return false;
   MutexLock lock(&mu_);
-  writer_ = std::move(writer);
-  // Replay what was already emitted so the file always holds the full
-  // stream regardless of when the writer was attached.
-  FormatPending();
-  if (!stream_.empty()) {
-    std::string replay = stream_;
-    if (!replay.empty() && replay.back() == '\n') replay.pop_back();
-    writer_->AppendRaw(std::move(replay));
-  }
+  WriteTail();
+  if (file_ != nullptr) std::fclose(file_);
+  file_ = file;
+  // The new file starts empty: its first write replays the whole stream.
+  written_ = 0;
+  write_failed_ = false;
   return true;
 }
 
-void TelemetryHub::Flush() {
+bool TelemetryHub::Flush() {
   MutexLock lock(&mu_);
-  if (writer_ != nullptr) writer_->Flush();
+  WriteTail();
+  return !write_failed_;
+}
+
+void TelemetryHub::WriteTail() {
+  if (file_ == nullptr) return;
+  FormatPending();
+  const size_t size = stream_.size() - written_;
+  if (std::fwrite(stream_.data() + written_, 1, size, file_) != size ||
+      std::fflush(file_) != 0) {
+    write_failed_ = true;
+  }
+  written_ = stream_.size();
 }
 
 void TelemetryHub::FormatPending() const {
   while (!pending_.empty()) {
-    stream_ += FormatWindowSnapshot(*pending_.front());
+    stream_ += FormatWindowSnapshot(pending_.front());
     stream_ += '\n';
     pending_.pop_front();
   }
@@ -561,19 +429,19 @@ double TelemetryHub::OverheadWallSeconds() const {
 void TelemetryHub::PublishOverhead(MetricsRegistry* metrics,
                                    double run_wall_seconds) const {
   if (metrics == nullptr) return;
-  double record, tick, exported, drain;
+  double record = 0.0;
+  double tick = 0.0;
+  double exported = 0.0;
   {
     MutexLock lock(&mu_);
     record = record_overhead_;
     tick = tick_overhead_;
     exported = export_overhead_;
-    drain = drain_wait_;
   }
   const double total = record + tick + exported;
   metrics->Set("obs.overhead.record_seconds", record);
   metrics->Set("obs.overhead.tick_seconds", tick);
   metrics->Set("obs.overhead.export_seconds", exported);
-  metrics->Set("obs.overhead.drain_wait_seconds", drain);
   metrics->Set("obs.overhead.total_seconds", total);
   metrics->Set("obs.overhead.record_ops",
                static_cast<double>(record_ops_.load(std::memory_order_relaxed)));

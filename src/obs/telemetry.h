@@ -9,29 +9,15 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
-#include "src/sim/virtual_time.h"
 
 namespace keystone {
 namespace obs {
-
-/// Telemetry windowing knobs. Windows are aligned to virtual time: window
-/// i covers [i*W, (i+1)*W) seconds since the epoch start, so the window a
-/// sample lands in depends only on the virtual instant it was recorded at
-/// — never on wall time or thread interleaving.
-struct TelemetryOptions {
-  /// Width of one aggregation window in virtual seconds.
-  double window_seconds = 1.0;
-  /// Closed windows retained per histogram series; sliding quantiles merge
-  /// the bucket tallies of up to this many trailing windows.
-  size_t ring_windows = 8;
-};
 
 /// Deterministic head-based trace sampler: whether a request's spans are
 /// recorded is a pure function of (seed, tenant, request id), decided via
@@ -62,7 +48,7 @@ enum class TelemetrySeriesKind { kCounter, kGauge, kHistogram };
 /// Plain-data capture of one series inside a closing window. Histogram
 /// tallies are held by shared_ptr: capturing a snapshot on the serving
 /// path is reference-count bumps, never bucket merges or formatting —
-/// those happen lazily (SnapshotJsonl) or on the writer thread.
+/// those happen lazily, when the stream is read or written.
 struct TelemetrySeriesSnapshot {
   /// Interned in the hub's series registry, which outlives every snapshot
   /// (a plain pointer keeps capture free of refcount traffic).
@@ -95,66 +81,28 @@ struct TelemetryWindowSnapshot {
 /// window. Deterministic: byte-identical output for equal snapshots.
 std::string FormatWindowSnapshot(const TelemetryWindowSnapshot& snapshot);
 
-/// Asynchronous JSONL appender: the recording path enqueues either a raw
-/// pre-formatted block or an unformatted window snapshot and returns; a
-/// dedicated writer thread formats, writes, and fflushes after each drain,
-/// so exports keep up with window boundaries without the recording path
-/// ever blocking on disk or paying formatting costs. Flush blocks until
-/// everything enqueued so far is durable (the destructor flushes and
-/// joins).
-class TelemetryJsonlWriter {
- public:
-  explicit TelemetryJsonlWriter(const std::string& path);
-  ~TelemetryJsonlWriter();
-  TelemetryJsonlWriter(const TelemetryJsonlWriter&) = delete;
-  TelemetryJsonlWriter& operator=(const TelemetryJsonlWriter&) = delete;
-
-  /// False when the file could not be opened (appends become no-ops).
-  bool ok() const { return file_ != nullptr; }
-
-  /// Enqueues already-formatted text (written verbatim + newline).
-  void AppendRaw(std::string text) EXCLUDES(mu_);
-  /// Enqueues a window snapshot; the writer thread formats it.
-  void AppendSnapshot(std::shared_ptr<const TelemetryWindowSnapshot> snapshot)
-      EXCLUDES(mu_);
-  void Flush() EXCLUDES(mu_);
-
- private:
-  struct Item {
-    std::string raw;  // used when snapshot is null
-    std::shared_ptr<const TelemetryWindowSnapshot> snapshot;
-  };
-
-  void Loop();
-
-  std::FILE* file_ = nullptr;
-  /// Above kLockRankTelemetry: the hub appends while holding its own lock.
-  Mutex mu_{kLockRankTelemetryWriter};
-  CondVar work_cv_;
-  CondVar drained_cv_;
-  std::deque<Item> queue_ GUARDED_BY(mu_);
-  bool writing_ GUARDED_BY(mu_) = false;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
-
 /// Windowed time-series aggregator. Counters, gauges, and histograms are
 /// recorded against the *open* virtual-time window; Tick(now) — driven by
-/// a VirtualClock on the serving event loop or by the PlanRunner's ledger
-/// total — closes every window boundary `now` has crossed, capturing one
-/// snapshot per non-empty window. Because ticks and records both carry
-/// virtual timestamps produced on the serial event loop, the emitted
-/// stream is byte-identical across kernel-pool sizes.
+/// the PipelineServer's event loop or by the PlanRunner's ledger total —
+/// closes every window boundary `now` has crossed, capturing one snapshot
+/// per non-empty window. Windows are aligned to virtual time: window i
+/// covers [i*W, (i+1)*W) seconds since the epoch start, so the window a
+/// sample lands in depends only on the virtual instant it was recorded at.
+/// Because ticks and records both carry virtual timestamps produced on the
+/// serial event loop, the emitted stream is byte-identical across
+/// kernel-pool sizes.
 ///
 /// Histogram series additionally keep a ring of per-window bucket tallies
-/// (HistogramBuckets shares the PR 6 log-bucket geometry), so each
+/// (HistogramBuckets shares obs::Histogram's log-bucket geometry), so each
 /// snapshot carries sliding p50/p99/p999 computed by *merging buckets*
-/// over the trailing ring — exact, unlike averaging per-window quantiles.
+/// over the trailing kRingWindows windows — exact, unlike averaging
+/// per-window quantiles.
 ///
 /// The hot path stays cheap by deferring all serialization: closing a
 /// window captures shared_ptr references into a TelemetryWindowSnapshot;
-/// JSONL formatting happens lazily in SnapshotJsonl() or concurrently on
-/// the writer thread.
+/// each snapshot is formatted once, when SnapshotJsonl() reads the stream
+/// or the attached JSONL file is written (at CloseEpoch, Flush and
+/// destruction).
 ///
 /// Self-observability: the hub stopwatches its own record/tick/export
 /// paths (record and tick via 1-in-16 sampled timers, scaled back up) and
@@ -164,36 +112,54 @@ class TelemetryJsonlWriter {
 ///
 /// Thread-safe (one internal mutex), though the intended driver is a
 /// serial event loop.
-class TelemetryHub : public TickListener {
+class TelemetryHub {
  public:
-  explicit TelemetryHub(TelemetryOptions options = TelemetryOptions());
-  ~TelemetryHub() override;
+  /// `window_seconds` is the width of one aggregation window in virtual
+  /// seconds.
+  explicit TelemetryHub(double window_seconds = 1.0);
+  ~TelemetryHub();
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
   /// Stable id of a registered series: an index into an internal registry
   /// that survives epoch resets, so hot paths can skip the by-name map
-  /// lookup. Register once at setup, record through the id forever.
+  /// lookup. Ids are meaningful only for the hub that issued them.
   using SeriesId = size_t;
 
-  /// Registers (or finds) a series and returns its stable id. Aborts if
-  /// the name is already registered with a different kind.
+  /// Closed windows retained per histogram series; sliding quantiles merge
+  /// the bucket tallies of up to this many trailing windows.
+  static constexpr size_t kRingWindows = 8;
+
+  /// Registers (or finds) a series and returns its stable id. Idempotent;
+  /// aborts if the name is already registered with a different kind.
   SeriesId RegisterSeries(const std::string& name, TelemetrySeriesKind kind)
       EXCLUDES(mu_);
 
   /// Adds `delta` to a per-window counter (exported as delta + rate +
   /// epoch-cumulative total).
-  void Count(const std::string& name, double delta = 1.0) EXCLUDES(mu_);
-  void CountId(SeriesId id, double delta = 1.0) EXCLUDES(mu_);
+  void Count(const std::string& name, double delta = 1.0) EXCLUDES(mu_) {
+    Record(&name, 0, TelemetrySeriesKind::kCounter, delta);
+  }
+  void CountId(SeriesId id, double delta = 1.0) EXCLUDES(mu_) {
+    Record(nullptr, id, TelemetrySeriesKind::kCounter, delta);
+  }
 
   /// Sets a last-write-wins gauge (exported with its latest value in every
   /// window from the first set onward).
-  void SetGauge(const std::string& name, double value) EXCLUDES(mu_);
-  void SetGaugeId(SeriesId id, double value) EXCLUDES(mu_);
+  void SetGauge(const std::string& name, double value) EXCLUDES(mu_) {
+    Record(&name, 0, TelemetrySeriesKind::kGauge, value);
+  }
+  void SetGaugeId(SeriesId id, double value) EXCLUDES(mu_) {
+    Record(nullptr, id, TelemetrySeriesKind::kGauge, value);
+  }
 
   /// Records a sample into the open window's histogram series.
-  void Observe(const std::string& name, double value) EXCLUDES(mu_);
-  void ObserveId(SeriesId id, double value) EXCLUDES(mu_);
+  void Observe(const std::string& name, double value) EXCLUDES(mu_) {
+    Record(&name, 0, TelemetrySeriesKind::kHistogram, value);
+  }
+  void ObserveId(SeriesId id, double value) EXCLUDES(mu_) {
+    Record(nullptr, id, TelemetrySeriesKind::kHistogram, value);
+  }
 
   /// Closes every window boundary crossed by advancing virtual time to
   /// `now_seconds` (monotone within an epoch; stale ticks are ignored).
@@ -201,19 +167,19 @@ class TelemetryHub : public TickListener {
 
   /// Ends the current epoch: the open window is captured if it has data,
   /// per-epoch state (totals, rings, window index) resets, and the epoch
-  /// counter increments. The JSONL stream keeps accumulating.
+  /// counter increments. The JSONL stream keeps accumulating; an attached
+  /// file is brought up to date.
   void CloseEpoch() EXCLUDES(mu_);
 
-  /// TickListener (a VirtualClock drives the hub through these).
-  void OnAdvance(double now_seconds) override { Tick(now_seconds); }
-  void OnReset() override { CloseEpoch(); }
-
-  /// Starts exporting snapshot lines to `path` via the async writer.
-  /// Returns false (and exports nothing) when the file cannot be opened.
+  /// Exports the snapshot stream to `path`, truncating it. Lines emitted
+  /// before the call are written too, so the file always holds the full
+  /// stream once written. Returns false (and exports nothing) when the
+  /// file cannot be opened.
   bool AttachJsonlWriter(const std::string& path) EXCLUDES(mu_);
 
-  /// Blocks until all emitted lines are written and flushed.
-  void Flush() EXCLUDES(mu_);
+  /// Writes every emitted line not yet in the attached file and flushes
+  /// it. Returns false once any write to the attached file has failed.
+  bool Flush() EXCLUDES(mu_);
 
   /// The full snapshot stream emitted so far (all epochs), one JSON object
   /// per line — the byte-identity artifact. Formats lazily (cached).
@@ -221,36 +187,19 @@ class TelemetryHub : public TickListener {
 
   size_t windows_emitted() const EXCLUDES(mu_);
   size_t epoch() const EXCLUDES(mu_);
-  const TelemetryOptions& options() const { return options_; }
 
   /// Estimated wall seconds spent inside the hub on the recording path
   /// (record + tick + snapshot capture; see the sampling note above).
-  /// Lazy formatting and writer-thread work are deliberately excluded —
-  /// they never block the serving loop. The epoch-close wait for the async
-  /// writer to drain is likewise excluded (tracked separately as
-  /// `obs.overhead.drain_wait_seconds`): it is a shutdown barrier after
-  /// serving finished, dominated by scheduler round-trip latency rather
-  /// than work stolen from the request path.
+  /// Formatting and file writes are deliberately excluded: they run when
+  /// the stream is read or an epoch closes, never inside a serving event.
   double OverheadWallSeconds() const EXCLUDES(mu_);
 
-  /// Publishes `obs.overhead.*` gauges (record/tick/export/drain_wait/total
-  /// seconds and, when `run_wall_seconds` > 0, the overhead fraction of
-  /// it).
+  /// Publishes `obs.overhead.*` gauges (record/tick/export/total seconds
+  /// and, when `run_wall_seconds` > 0, the overhead fraction of it).
   void PublishOverhead(MetricsRegistry* metrics,
                        double run_wall_seconds) const EXCLUDES(mu_);
 
  private:
-  /// 1-in-N stopwatch sampling for the record/tick paths (power of two).
-  static constexpr uint64_t kOverheadSampleEvery = 16;
-
-  /// Winsorization bound for one sampled interval. The record/tick paths do
-  /// bounded work under the hub mutex (~1µs), so an interval far above that
-  /// means the thread was descheduled mid-measure — and the ×16 sampling
-  /// multiplier would bill 16× the preemption, not 16× the hub. Clamping at
-  /// ~20–50× the typical op cost keeps genuine cost intact while bounding
-  /// one preempted sample's damage to ~0.3ms of billed overhead.
-  static constexpr double kOverheadSampleClampSeconds = 20e-6;
-
   struct Series {
     TelemetrySeriesKind kind = TelemetrySeriesKind::kCounter;
     /// Points at this series' key in index_ (map nodes are stable); the
@@ -275,37 +224,19 @@ class TelemetryHub : public TickListener {
         ring;
   };
 
-  Series& GetSeries(const std::string& name, TelemetrySeriesKind kind)
+  /// The one recording body behind Count/SetGauge/Observe and their by-id
+  /// forms: resolves the series (by `*name` when non-null, else by `id`),
+  /// applies `value` as its kind says, and runs under the sampled
+  /// stopwatch.
+  void Record(const std::string* name, SeriesId id, TelemetrySeriesKind kind,
+              double value) EXCLUDES(mu_);
+  /// Find-or-register shared by RegisterSeries and the by-name records.
+  SeriesId FindOrRegister(const std::string& name, TelemetrySeriesKind kind)
       REQUIRES(mu_);
   /// Fetches by id, reviving the series if a prior epoch retired it.
-  Series& GetSeriesById(SeriesId id, TelemetrySeriesKind kind) REQUIRES(mu_);
+  Series& LiveSeries(SeriesId id, TelemetrySeriesKind kind) REQUIRES(mu_);
   double WindowEnd(uint64_t index) const {
-    return static_cast<double>(index + 1) * options_.window_seconds;
-  }
-  /// True when this call should be stopwatched (1 in kOverheadSampleEvery).
-  bool SampleStopwatch(std::atomic<uint64_t>* ops) const {
-    return (ops->fetch_add(1, std::memory_order_relaxed) &
-            (kOverheadSampleEvery - 1)) == 0;
-  }
-  // Lock-held bodies of the public recording entry points, shared by the
-  // by-name/by-id and stopwatched/unstopwatched call paths.
-  void CountSeries(Series& series, double delta) REQUIRES(mu_) {
-    series.window_delta += delta;
-    series.total += delta;
-    window_touched_ = true;
-  }
-  void SetGaugeSeries(Series& series, double value) REQUIRES(mu_) {
-    series.gauge_value = value;
-    window_touched_ = true;
-  }
-  void ObserveSeries(Series& series, double value) REQUIRES(mu_) {
-    // Lazily (re)allocated per window: the close moves the tallies out
-    // wholesale instead of copying 1KB+ of buckets per histogram series.
-    if (series.window_hist == nullptr) {
-      series.window_hist = std::make_shared<HistogramBuckets>();
-    }
-    series.window_hist->Record(value);
-    window_touched_ = true;
+    return static_cast<double>(index + 1) * window_seconds_;
   }
   void TickLocked(double now_seconds) REQUIRES(mu_);
   /// Captures the closing window's snapshot and rolls every series into
@@ -313,8 +244,12 @@ class TelemetryHub : public TickListener {
   void CloseOpenWindow() REQUIRES(mu_);
   /// Formats captured-but-unformatted snapshots into stream_.
   void FormatPending() const REQUIRES(mu_);
+  /// Appends the part of stream_ not yet in the attached file, then
+  /// flushes it (a no-op with no file attached). A failure sets
+  /// write_failed_.
+  void WriteTail() REQUIRES(mu_);
 
-  TelemetryOptions options_;
+  const double window_seconds_;
   mutable Mutex mu_{kLockRankTelemetry};
   /// Owns every series ever registered; ids index into this vector and
   /// stay valid across epochs. index_ orders snapshot output by name.
@@ -326,18 +261,18 @@ class TelemetryHub : public TickListener {
   size_t epoch_ GUARDED_BY(mu_) = 0;
   size_t windows_emitted_ GUARDED_BY(mu_) = 0;
   /// Captured snapshots not yet folded into stream_ (lazy formatting).
-  mutable std::deque<std::shared_ptr<const TelemetryWindowSnapshot>>
-      pending_ GUARDED_BY(mu_);
+  mutable std::deque<TelemetryWindowSnapshot> pending_ GUARDED_BY(mu_);
   mutable std::string stream_ GUARDED_BY(mu_);
-  std::unique_ptr<TelemetryJsonlWriter> writer_ GUARDED_BY(mu_);
+  /// The attached JSONL file (null = none), how many bytes of stream_ it
+  /// already holds, and whether a write to it has failed.
+  std::FILE* file_ GUARDED_BY(mu_) = nullptr;
+  size_t written_ GUARDED_BY(mu_) = 0;
+  bool write_failed_ GUARDED_BY(mu_) = false;
   // Self-overhead stopwatch totals (wall seconds; record/tick estimated
   // via sampling, export/capture measured fully).
   double record_overhead_ GUARDED_BY(mu_) = 0.0;
   double tick_overhead_ GUARDED_BY(mu_) = 0.0;
   double export_overhead_ GUARDED_BY(mu_) = 0.0;
-  /// Epoch-close wait for the async writer to drain (not in the gated
-  /// total; see OverheadWallSeconds).
-  double drain_wait_ GUARDED_BY(mu_) = 0.0;
   std::atomic<uint64_t> record_ops_{0};
   std::atomic<uint64_t> tick_ops_{0};
 };

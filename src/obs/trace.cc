@@ -43,40 +43,10 @@ const char* TracePhaseName(TracePhase phase) {
 
 void TraceRecorder::Record(TraceSpan span) {
   MutexLock lock(&mu_);
-  if (max_spans_ != 0 && spans_.size() >= max_spans_) {
-    ++dropped_spans_;
-    // Counter increments are lock-free, and kLockRankMetricsShard sits
-    // above kLockRankTrace anyway — but the cached pointer skips the
-    // registry lookup entirely on this path.
-    if (dropped_counter_ != nullptr) dropped_counter_->Increment();
-    return;
-  }
   double& cursor = phase_cursor_[span.phase];
   span_start_.push_back(cursor);
   cursor += span.virtual_seconds;
   spans_.push_back(std::move(span));
-}
-
-void TraceRecorder::set_max_spans(size_t limit) {
-  MutexLock lock(&mu_);
-  max_spans_ = limit;
-}
-
-size_t TraceRecorder::max_spans() const {
-  MutexLock lock(&mu_);
-  return max_spans_;
-}
-
-size_t TraceRecorder::dropped_spans() const {
-  MutexLock lock(&mu_);
-  return dropped_spans_;
-}
-
-void TraceRecorder::set_metrics(MetricsRegistry* metrics) {
-  Counter* counter =
-      metrics == nullptr ? nullptr : metrics->GetCounter("trace.dropped_spans");
-  MutexLock lock(&mu_);
-  dropped_counter_ = counter;
 }
 
 size_t TraceRecorder::NumSpans() const {
@@ -94,7 +64,6 @@ void TraceRecorder::Clear() {
   spans_.clear();
   span_start_.clear();
   phase_cursor_.clear();
-  dropped_spans_ = 0;
 }
 
 std::string TraceRecorder::ChromeTraceJson() const {

@@ -8,7 +8,6 @@
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
-#include "src/obs/metrics.h"
 #include "src/sim/cost_profile.h"
 
 namespace keystone {
@@ -82,18 +81,6 @@ class TraceRecorder {
 
   void Record(TraceSpan span);
 
-  /// Caps the span buffer: once `limit` spans are held, further Record
-  /// calls are counted in dropped_spans() (and the `trace.dropped_spans`
-  /// counter when a registry is attached) instead of growing memory.
-  /// 0 (the default) means unbounded. Clear() resets the drop count.
-  void set_max_spans(size_t limit);
-  size_t max_spans() const;
-  size_t dropped_spans() const;
-
-  /// Attaches a registry for the `trace.dropped_spans` counter. Borrowed;
-  /// must outlive the recorder (or be detached with nullptr).
-  void set_metrics(MetricsRegistry* metrics);
-
   size_t NumSpans() const;
   std::vector<TraceSpan> Spans() const;
   void Clear();
@@ -115,11 +102,6 @@ class TraceRecorder {
  private:
   mutable Mutex mu_{kLockRankTrace};
   std::vector<TraceSpan> spans_ GUARDED_BY(mu_);
-  size_t max_spans_ GUARDED_BY(mu_) = 0;  // 0 = unbounded
-  size_t dropped_spans_ GUARDED_BY(mu_) = 0;
-  /// Cached `trace.dropped_spans` counter (lock-free increment; avoids a
-  /// registry lookup on the drop path). Null when no registry is attached.
-  Counter* dropped_counter_ GUARDED_BY(mu_) = nullptr;
   /// Per-phase virtual-time cursor: spans within a phase are laid end to
   /// end, which matches the simulator's sequential charging model.
   std::map<TracePhase, double> phase_cursor_ GUARDED_BY(mu_);

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/common/check.h"
+#include "src/common/string_util.h"
 #include "src/common/timer.h"
 
 namespace keystone {
@@ -108,7 +109,7 @@ std::string ServeReport::ToJson() const {
   for (size_t i = 0; i < tenants.size(); ++i) {
     const TenantReport& t = tenants[i];
     if (i > 0) out += ',';
-    out += "{\"name\":\"" + t.name + "\"";
+    out += "{\"name\":\"" + JsonEscape(t.name) + "\"";
     char nbuf[512];
     std::snprintf(
         nbuf, sizeof(nbuf),
@@ -173,74 +174,66 @@ int PipelineServer::AddTenant(std::string name, ServablePipeline pipeline,
   KS_CHECK(options.slo_seconds > 0.0);
   Tenant tenant(std::move(name), std::move(pipeline), std::move(codec),
                 options);
-  if (ctx_.metrics() != nullptr) {
-    obs::MetricsRegistry* m = ctx_.metrics();
-    const std::string prefix = "serve." + tenant.name + ".";
-    tenant.offered = m->GetCounter(prefix + "offered");
-    tenant.accepted = m->GetCounter(prefix + "accepted");
-    tenant.rejected_queue_full = m->GetCounter(prefix + "rejected.queue_full");
-    tenant.rejected_predicted_cost =
-        m->GetCounter(prefix + "rejected.predicted_cost");
-    tenant.rejected_error_budget =
-        m->GetCounter(prefix + "rejected.error_budget");
-    tenant.slo_met = m->GetCounter(prefix + "slo.met");
-    tenant.slo_violated = m->GetCounter(prefix + "slo.violated");
-    tenant.trace_sampled = m->GetCounter("serve.trace.sampled");
-    tenant.trace_dropped = m->GetCounter("serve.trace.dropped");
-    tenant.latency = m->GetHistogram(prefix + "latency_seconds");
-  }
   tenant.sampler =
       obs::TraceSampler(options.trace_sample_rate, options.trace_sample_seed);
   if (options.budget_shedding) {
     tenant.budget = std::make_unique<obs::SloErrorBudget>(options.slo_budget);
   }
-  // Telemetry series names, built once so the per-request hot path does no
-  // string concatenation.
-  const std::string tel = "serve." + tenant.name + ".";
-  tenant.tel_offered = tel + "offered";
-  tenant.tel_accepted = tel + "accepted";
-  tenant.tel_rejected = tel + "rejected";
-  tenant.tel_completed = tel + "completed";
-  tenant.tel_latency = tel + "latency_seconds";
-  tenant.tel_violations = tel + "slo_violations";
-  const std::string slo = "slo." + tenant.name + ".";
-  tenant.tel_budget_remaining = slo + "budget_remaining";
-  tenant.tel_burn_fast = slo + "burn_fast";
-  tenant.tel_burn_slow = slo + "burn_slow";
-  tenant.tel_shed = slo + "shed";
   tenants_.push_back(std::move(tenant));
   return static_cast<int>(tenants_.size()) - 1;
 }
 
-void PipelineServer::set_telemetry(obs::TelemetryHub* telemetry) {
-  if (telemetry_ != nullptr) clock_.RemoveListener(telemetry_);
-  telemetry_ = telemetry;
-  if (telemetry_ != nullptr) clock_.AddListener(telemetry_);
-}
-
-void PipelineServer::ResolveTelemetrySeries() {
-  if (telemetry_ == nullptr || telemetry_resolved_ == telemetry_) return;
+void PipelineServer::RegisterTelemetrySeries() {
   using Kind = obs::TelemetrySeriesKind;
+  obs::TelemetryHub* hub = telemetry_;
   for (Tenant& t : tenants_) {
-    t.id_offered = telemetry_->RegisterSeries(t.tel_offered, Kind::kCounter);
-    t.id_accepted = telemetry_->RegisterSeries(t.tel_accepted, Kind::kCounter);
-    t.id_rejected = telemetry_->RegisterSeries(t.tel_rejected, Kind::kCounter);
-    t.id_completed =
-        telemetry_->RegisterSeries(t.tel_completed, Kind::kCounter);
-    t.id_latency = telemetry_->RegisterSeries(t.tel_latency, Kind::kHistogram);
+    const std::string serve = "serve." + t.name + ".";
+    const std::string slo = "slo." + t.name + ".";
+    t.id_offered = hub->RegisterSeries(serve + "offered", Kind::kCounter);
+    t.id_accepted = hub->RegisterSeries(serve + "accepted", Kind::kCounter);
+    t.id_rejected = hub->RegisterSeries(serve + "rejected", Kind::kCounter);
+    t.id_completed = hub->RegisterSeries(serve + "completed", Kind::kCounter);
+    t.id_latency =
+        hub->RegisterSeries(serve + "latency_seconds", Kind::kHistogram);
     t.id_violations =
-        telemetry_->RegisterSeries(t.tel_violations, Kind::kCounter);
+        hub->RegisterSeries(serve + "slo_violations", Kind::kCounter);
     t.id_budget_remaining =
-        telemetry_->RegisterSeries(t.tel_budget_remaining, Kind::kGauge);
-    t.id_burn_fast = telemetry_->RegisterSeries(t.tel_burn_fast, Kind::kGauge);
-    t.id_burn_slow = telemetry_->RegisterSeries(t.tel_burn_slow, Kind::kGauge);
-    t.id_shed = telemetry_->RegisterSeries(t.tel_shed, Kind::kCounter);
+        hub->RegisterSeries(slo + "budget_remaining", Kind::kGauge);
+    t.id_burn_fast = hub->RegisterSeries(slo + "burn_fast", Kind::kGauge);
+    t.id_burn_slow = hub->RegisterSeries(slo + "burn_slow", Kind::kGauge);
+    t.id_shed = hub->RegisterSeries(slo + "shed", Kind::kCounter);
   }
   id_trace_sampled_ =
-      telemetry_->RegisterSeries("serve.trace.sampled", Kind::kCounter);
+      hub->RegisterSeries("serve.trace.sampled", Kind::kCounter);
   id_trace_dropped_ =
-      telemetry_->RegisterSeries("serve.trace.dropped", Kind::kCounter);
-  telemetry_resolved_ = telemetry_;
+      hub->RegisterSeries("serve.trace.dropped", Kind::kCounter);
+}
+
+void PipelineServer::PublishMetrics() const {
+  obs::MetricsRegistry* m = ctx_.metrics();
+  if (m == nullptr) return;
+  size_t trace_sampled = 0;
+  size_t trace_dropped = 0;
+  for (size_t i = 0; i < tallies_.size(); ++i) {
+    const TenantReport& t = tallies_[i];
+    const std::string prefix = "serve." + t.name + ".";
+    const auto count = [&](const char* name, size_t n) {
+      m->Increment(prefix + name, static_cast<double>(n));
+    };
+    count("offered", t.offered);
+    count("accepted", t.accepted);
+    count("rejected.queue_full", t.rejected_queue_full);
+    count("rejected.predicted_cost", t.rejected_predicted_cost);
+    count("rejected.error_budget", t.rejected_error_budget);
+    count("slo.met", t.slo_met);
+    count("slo.violated", t.completed - t.slo_met);
+    obs::Histogram* latency = m->GetHistogram(prefix + "latency_seconds");
+    for (double v : latencies_[i]) latency->Record(v);
+    trace_sampled += t.trace_sampled;
+    trace_dropped += t.trace_dropped;
+  }
+  m->Increment("serve.trace.sampled", static_cast<double>(trace_sampled));
+  m->Increment("serve.trace.dropped", static_cast<double>(trace_dropped));
 }
 
 ServeReport PipelineServer::Run(RequestSource* source) {
@@ -270,10 +263,13 @@ ServeReport PipelineServer::Run(RequestSource* source) {
     tenants_[i].tel_burn_slow_published =
         std::numeric_limits<double>::quiet_NaN();
   }
-  // Rewind the virtual clock; an attached telemetry hub hears this as a
-  // new epoch (a no-op on a freshly constructed server).
-  clock_.Reset();
-  ResolveTelemetrySeries();
+  // A new run is a new telemetry epoch (a no-op on a fresh hub). Series
+  // are registered against whichever hub is attached now: registration is
+  // idempotent, and ids issued by an earlier hub mean nothing to this one.
+  if (telemetry_ != nullptr) {
+    telemetry_->CloseEpoch();
+    RegisterTelemetrySeries();
+  }
 
   ServeReport report;
   report.server_slots = config_.server_slots;
@@ -309,6 +305,8 @@ ServeReport PipelineServer::Run(RequestSource* source) {
 
   report.makespan_seconds = now_;
   report.busy_seconds = busy_seconds_;
+  // Before the sort below: the latency histogram sums in completion order.
+  PublishMetrics();
   for (size_t i = 0; i < tenants_.size(); ++i) {
     TenantReport& t = tallies_[i];
     t.queue_high_water = tenants_[i].queue.high_water();
@@ -331,17 +329,17 @@ ServeReport PipelineServer::Run(RequestSource* source) {
     }
     report.tenants.push_back(t);
   }
-  // One Run == one telemetry epoch: rewinding the clock makes the hub
-  // emit the final partial window and seal the epoch, so the stream for
-  // this run is complete (and exported) before Run returns.
-  clock_.Reset();
+  // One Run == one telemetry epoch: closing it emits the final partial
+  // window, so the stream for this run is complete (and written to any
+  // attached file) before Run returns.
+  if (telemetry_ != nullptr) telemetry_->CloseEpoch();
   return report;
 }
 
 void PipelineServer::AdvanceClock(double time_seconds) {
   if (time_seconds <= now_) return;
   now_ = time_seconds;
-  clock_.AdvanceTo(now_);
+  if (telemetry_ != nullptr) telemetry_->Tick(now_);
   for (Tenant& tenant : tenants_) {
     if (tenant.budget != nullptr) tenant.budget->AdvanceTo(now_);
   }
@@ -356,7 +354,6 @@ void PipelineServer::HandleArrival(const ServeRequest& request,
   Tenant& tenant = tenants_[static_cast<size_t>(request.tenant)];
   TenantReport& tally = tallies_[static_cast<size_t>(request.tenant)];
   ++tally.offered;
-  if (tenant.offered != nullptr) tenant.offered->Increment();
   if (telemetry_ != nullptr) telemetry_->CountId(tenant.id_offered);
 
   if (tenant.queue.size() >= tenant.queue.depth()) {
@@ -401,7 +398,6 @@ void PipelineServer::HandleArrival(const ServeRequest& request,
 
   KS_CHECK(tenant.queue.TryPush(request));
   ++tally.accepted;
-  if (tenant.accepted != nullptr) tenant.accepted->Increment();
   if (telemetry_ != nullptr) telemetry_->CountId(tenant.id_accepted);
   TryDispatch();
   // If the new request ended up at the head of a still-pending queue, wake
@@ -565,15 +561,7 @@ void PipelineServer::HandleCompletion(const Event& event,
     ++tally.completed;
     latencies_[static_cast<size_t>(event.tenant)].push_back(
         response.latency_seconds);
-    if (response.slo_met) {
-      ++tally.slo_met;
-      if (tenant.slo_met != nullptr) tenant.slo_met->Increment();
-    } else if (tenant.slo_violated != nullptr) {
-      tenant.slo_violated->Increment();
-    }
-    if (tenant.latency != nullptr) {
-      tenant.latency->Record(response.latency_seconds);
-    }
+    if (response.slo_met) ++tally.slo_met;
     // Every completion feeds the error budget and the windowed series —
     // sampling below only thins trace spans, never accounting, so p99 and
     // burn rates stay exact at any sampling rate.
@@ -591,7 +579,6 @@ void PipelineServer::HandleCompletion(const Event& event,
       if (tenant.sampler.Sample(tenant.name, request.id)) {
         ++tally.trace_sampled;
         ++tel_sampled;
-        if (tenant.trace_sampled != nullptr) tenant.trace_sampled->Increment();
         obs::TraceSpan span;
         span.name = "serve." + tenant.name;
         span.kind = "request";
@@ -602,7 +589,6 @@ void PipelineServer::HandleCompletion(const Event& event,
       } else {
         ++tally.trace_dropped;
         ++tel_dropped;
-        if (tenant.trace_dropped != nullptr) tenant.trace_dropped->Increment();
       }
     }
     EmitResponse(std::move(response), source, report);
@@ -646,27 +632,18 @@ void PipelineServer::HandleCompletion(const Event& event,
 
 void PipelineServer::Reject(const ServeRequest& request, RejectReason reason,
                             RequestSource* source, ServeReport* report) {
-  Tenant& tenant = tenants_[static_cast<size_t>(request.tenant)];
+  const Tenant& tenant = tenants_[static_cast<size_t>(request.tenant)];
   TenantReport& tally = tallies_[static_cast<size_t>(request.tenant)];
   switch (reason) {
     case RejectReason::kQueueFull:
       ++tally.rejected_queue_full;
-      if (tenant.rejected_queue_full != nullptr) {
-        tenant.rejected_queue_full->Increment();
-      }
       break;
     case RejectReason::kErrorBudget:
       ++tally.rejected_error_budget;
-      if (tenant.rejected_error_budget != nullptr) {
-        tenant.rejected_error_budget->Increment();
-      }
       break;
     case RejectReason::kNone:
     case RejectReason::kPredictedCost:
       ++tally.rejected_predicted_cost;
-      if (tenant.rejected_predicted_cost != nullptr) {
-        tenant.rejected_predicted_cost->Increment();
-      }
       break;
   }
   if (telemetry_ != nullptr) telemetry_->CountId(tenant.id_rejected);

@@ -18,7 +18,6 @@
 #include "src/serve/servable_pipeline.h"
 #include "src/serve/serve_options.h"
 #include "src/sim/resources.h"
-#include "src/sim/virtual_time.h"
 
 namespace keystone {
 namespace serve {
@@ -157,12 +156,13 @@ class PipelineServer {
   /// charges, and its sinks receive the serving spans and metrics.
   ExecContext* context() { return &ctx_; }
 
-  /// Attaches a windowed telemetry hub (borrowed; nullptr detaches). The
-  /// hub becomes a listener of the event loop's virtual clock: every event
-  /// the loop processes ticks it, so windows close at deterministic
-  /// virtual instants and the snapshot stream is byte-identical across
-  /// kernel-pool sizes. Each Run() is one telemetry epoch.
-  void set_telemetry(obs::TelemetryHub* telemetry);
+  /// Attaches a windowed telemetry hub (borrowed; nullptr detaches). Every
+  /// virtual-time advance of the event loop ticks it, so windows close at
+  /// deterministic virtual instants and the snapshot stream is
+  /// byte-identical across kernel-pool sizes. Each Run() is one telemetry
+  /// epoch, closed (and any attached JSONL file written) before Run
+  /// returns.
+  void set_telemetry(obs::TelemetryHub* telemetry) { telemetry_ = telemetry; }
   obs::TelemetryHub* telemetry() const { return telemetry_; }
 
   size_t num_tenants() const { return tenants_.size(); }
@@ -182,31 +182,13 @@ class PipelineServer {
     std::shared_ptr<RequestCodec> codec;
     ServeOptions options;
     BoundedRequestQueue queue;
-    // Pre-resolved metric instruments (one registry lookup per tenant at
-    // registration, zero per request). Null when the context's metrics
-    // sink is disabled.
-    obs::Counter* offered = nullptr;
-    obs::Counter* accepted = nullptr;
-    obs::Counter* rejected_queue_full = nullptr;
-    obs::Counter* rejected_predicted_cost = nullptr;
-    obs::Counter* slo_met = nullptr;
-    obs::Counter* slo_violated = nullptr;
-    obs::Counter* rejected_error_budget = nullptr;
-    obs::Counter* trace_sampled = nullptr;
-    obs::Counter* trace_dropped = nullptr;
-    obs::Histogram* latency = nullptr;
     /// Deterministic head sampler for this tenant's request spans.
     obs::TraceSampler sampler;
     /// Error-budget tracker; null unless options.budget_shedding.
     std::unique_ptr<obs::SloErrorBudget> budget;
-    // Pre-built telemetry series names (one concatenation per tenant at
-    // registration, zero per request).
-    std::string tel_offered, tel_accepted, tel_rejected, tel_completed;
-    std::string tel_latency, tel_violations;
-    std::string tel_budget_remaining, tel_burn_fast, tel_burn_slow, tel_shed;
-    // Pre-resolved hub series ids (registered once per Run; the hot path
-    // records through ids, never by-name map lookups). Valid only while
-    // tel_resolved matches the attached hub.
+    // Hub series ids, registered at the start of every Run against the
+    // attached hub (the hot path records through ids, never by-name map
+    // lookups).
     obs::TelemetryHub::SeriesId id_offered = 0, id_accepted = 0,
                                id_rejected = 0, id_completed = 0;
     obs::TelemetryHub::SeriesId id_latency = 0, id_violations = 0;
@@ -254,13 +236,16 @@ class PipelineServer {
     }
   };
 
-  /// Moves virtual time forward: updates now_, ticks the clock (and the
-  /// attached telemetry hub with it), and rotates every tenant's
-  /// error-budget windows. All virtual-time motion funnels through here.
+  /// Moves virtual time forward: updates now_, ticks the attached
+  /// telemetry hub, and rotates every tenant's error-budget windows. All
+  /// virtual-time motion funnels through here.
   void AdvanceClock(double time_seconds);
   /// Registers every tenant's telemetry series with the attached hub and
   /// caches the stable ids the hot paths record through.
-  void ResolveTelemetrySeries();
+  void RegisterTelemetrySeries();
+  /// Adds this run's tallies and latencies (in completion order) to the
+  /// context's `serve.*` metrics.
+  void PublishMetrics() const;
   void HandleArrival(const ServeRequest& request, RequestSource* source,
                      ServeReport* report);
   void HandleCompletion(const Event& event, RequestSource* source,
@@ -287,12 +272,7 @@ class PipelineServer {
   std::unique_ptr<ThreadPool> pool_;
   ExecContext ctx_;
   std::vector<Tenant> tenants_;
-  /// The event loop's deterministic tick source (mirrors now_).
-  VirtualClock clock_;
   obs::TelemetryHub* telemetry_ = nullptr;
-  /// Hub the cached series ids were resolved against (ids are only
-  /// meaningful for the hub that issued them).
-  obs::TelemetryHub* telemetry_resolved_ = nullptr;
   /// Process-wide trace-sampling accounting series on the attached hub.
   obs::TelemetryHub::SeriesId id_trace_sampled_ = 0;
   obs::TelemetryHub::SeriesId id_trace_dropped_ = 0;
@@ -304,9 +284,11 @@ class PipelineServer {
   double busy_seconds_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t next_batch_id_ = 0;
-  // Per-tenant per-run tallies mirrored into TenantReport at the end.
+  // Per-tenant per-run tallies: the one count of every request outcome,
+  // copied into the report and published as metrics at the end.
   std::vector<TenantReport> tallies_;
-  std::vector<std::vector<double>> latencies_;  // per tenant, completed only
+  // Per tenant, completed only, in completion order.
+  std::vector<std::vector<double>> latencies_;
 };
 
 }  // namespace serve

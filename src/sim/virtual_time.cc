@@ -93,28 +93,6 @@ std::string VirtualTimeLedger::ToString() const {
   return os.str();
 }
 
-void VirtualClock::AdvanceTo(double now_seconds) {
-  if (now_seconds <= now_) return;
-  now_ = now_seconds;
-  for (TickListener* listener : listeners_) listener->OnAdvance(now_);
-}
-
-void VirtualClock::Reset() {
-  now_ = 0.0;
-  for (TickListener* listener : listeners_) listener->OnReset();
-}
-
-void VirtualClock::AddListener(TickListener* listener) {
-  if (listener == nullptr) return;
-  listeners_.push_back(listener);
-}
-
-void VirtualClock::RemoveListener(TickListener* listener) {
-  listeners_.erase(
-      std::remove(listeners_.begin(), listeners_.end(), listener),
-      listeners_.end());
-}
-
 double StageMakespan(const std::vector<double>& task_seconds, int slots) {
   // An empty stage takes no time regardless of the slot count — checked
   // before the slots guard so callers scheduling zero tasks on a cluster

@@ -64,42 +64,6 @@ class VirtualTimeLedger {
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 
-/// Observer of a VirtualClock's advances. The telemetry hub implements
-/// this to close time windows at deterministic virtual instants.
-class TickListener {
- public:
-  virtual ~TickListener() = default;
-  /// The clock moved forward to `now_seconds` (monotone within an epoch).
-  virtual void OnAdvance(double now_seconds) = 0;
-  /// The clock rewound to 0: a new run/epoch begins.
-  virtual void OnReset() {}
-};
-
-/// Deterministic virtual-time tick source. The PipelineServer's event loop
-/// (and any other virtual-time driver) owns one and advances it as events
-/// are processed; listeners observe the exact same sequence of instants
-/// regardless of kernel-pool size because all advances happen on the
-/// serial event loop. Deliberately not thread-safe for the same reason as
-/// BoundedRequestQueue: only the serial loop touches it.
-class VirtualClock {
- public:
-  double Now() const { return now_; }
-
-  /// Moves the clock forward and notifies listeners. Advances to the past
-  /// are ignored (events can carry equal timestamps).
-  void AdvanceTo(double now_seconds);
-
-  /// Rewinds to 0 and notifies listeners a new epoch began.
-  void Reset();
-
-  void AddListener(TickListener* listener);
-  void RemoveListener(TickListener* listener);
-
- private:
-  double now_ = 0.0;
-  std::vector<TickListener*> listeners_;
-};
-
 /// Makespan (seconds) of independent tasks greedily list-scheduled over
 /// `slots` parallel workers, longest-processing-time-first. Used to simulate
 /// a distributed stage made of per-partition tasks (and the fault layer's

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "src/core/pipeline.h"
 #include "src/data/dist_dataset.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/serve/load_generator.h"
 #include "src/serve/pipeline_server.h"
 #include "src/serve/request.h"
@@ -234,6 +236,16 @@ TEST(ServablePipelineTest, ValidationRejectsMissingModels) {
 }
 
 // --- Server ----------------------------------------------------------------
+
+TEST(ServeReportTest, ToJsonEscapesTenantNames) {
+  ServeReport report;
+  serve::TenantReport tenant;
+  tenant.name = "a\"b\\c";
+  report.tenants.push_back(tenant);
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("{\"name\":\"a\\\"b\\\\c\","), std::string::npos)
+      << json;
+}
 
 TEST(PipelineServerTest, ByteIdenticalResponsesAcrossThreadCounts) {
   auto fitted = FitCentered();
@@ -462,23 +474,81 @@ TEST(PipelineServerTest, ClosedLoopDrainsEveryUserBudget) {
 }
 
 TEST(PipelineServerTest, ServeMetricsReachTheRegistry) {
+  // Two runs on one server: after each, every serve.* metric equals the
+  // reports' tallies summed so far, and the latency histogram holds every
+  // completed request's latency in completion order (so its sum is
+  // bit-equal to summing them in that order).
   obs::MetricsRegistry registry;
+  obs::TraceRecorder tracer;
   PipelineServer server(TestCluster());
-  server.context()->set_tracer(nullptr);
+  server.context()->set_tracer(&tracer);
   server.context()->set_metrics(&registry);
   ServeOptions options;
+  options.max_batch_size = 4;
+  options.queue_depth = 4;  // shallow: the burst sheds with kQueueFull
   options.cost_admission = false;
-  options.slo_seconds = 1e6;
+  options.slo_seconds = 0.22;  // latencies run 0.20-0.27 s: some miss it
+  options.trace_sample_rate = 0.5;
   server.AddTenant("affine", ServablePipeline(FitAffine(1.0, 0.0)),
                    DoubleCodec(), options);
-  OpenLoopSource source(0, 50.0, 30, 16, 17);
-  server.Run(&source);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("serve.affine.offered")->Value(), 30.0);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("serve.affine.accepted")->Value(),
-                   30.0);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("serve.affine.slo.met")->Value(), 30.0);
-  EXPECT_EQ(registry.GetHistogram("serve.affine.latency_seconds")->Count(),
-            30u);
+  serve::TenantReport sum;
+  size_t latency_count = 0;
+  double latency_sum = 0.0;
+  double latency_min = 0.0;
+  double latency_max = 0.0;
+  for (int run = 0; run < 2; ++run) {
+    OpenLoopSource source(0, 60.0, 80, 16, 17 + static_cast<uint64_t>(run));
+    const ServeReport report = server.Run(&source);
+    ASSERT_EQ(report.tenants.size(), 1u);
+    const serve::TenantReport& t = report.tenants[0];
+    sum.offered += t.offered;
+    sum.accepted += t.accepted;
+    sum.rejected_queue_full += t.rejected_queue_full;
+    sum.rejected_predicted_cost += t.rejected_predicted_cost;
+    sum.rejected_error_budget += t.rejected_error_budget;
+    sum.completed += t.completed;
+    sum.slo_met += t.slo_met;
+    sum.trace_sampled += t.trace_sampled;
+    sum.trace_dropped += t.trace_dropped;
+    for (const serve::ServeResponse& r : report.responses) {
+      if (!r.accepted) continue;
+      latency_min = latency_count == 0
+                        ? r.latency_seconds
+                        : std::min(latency_min, r.latency_seconds);
+      latency_max = std::max(latency_max, r.latency_seconds);
+      latency_sum += r.latency_seconds;
+      ++latency_count;
+    }
+    const auto counter = [&](const std::string& name) {
+      return registry.GetCounter(name)->Value();
+    };
+    EXPECT_EQ(counter("serve.affine.offered"), sum.offered);
+    EXPECT_EQ(counter("serve.affine.accepted"), sum.accepted);
+    EXPECT_EQ(counter("serve.affine.rejected.queue_full"),
+              sum.rejected_queue_full);
+    EXPECT_EQ(counter("serve.affine.rejected.predicted_cost"),
+              sum.rejected_predicted_cost);
+    EXPECT_EQ(counter("serve.affine.rejected.error_budget"),
+              sum.rejected_error_budget);
+    EXPECT_EQ(counter("serve.affine.slo.met"), sum.slo_met);
+    EXPECT_EQ(counter("serve.affine.slo.violated"),
+              sum.completed - sum.slo_met);
+    EXPECT_EQ(counter("serve.trace.sampled"), sum.trace_sampled);
+    EXPECT_EQ(counter("serve.trace.dropped"), sum.trace_dropped);
+    const obs::Histogram* latency =
+        registry.GetHistogram("serve.affine.latency_seconds");
+    EXPECT_EQ(latency->Count(), latency_count);
+    EXPECT_EQ(latency->Count(), sum.completed);
+    EXPECT_EQ(latency->Sum(), latency_sum);
+    EXPECT_EQ(latency->Min(), latency_min);
+    EXPECT_EQ(latency->Max(), latency_max);
+  }
+  // The workload exercises every outcome the counters split.
+  EXPECT_GT(sum.rejected_queue_full, 0u);
+  EXPECT_GT(sum.slo_met, 0u);
+  EXPECT_LT(sum.slo_met, sum.completed);
+  EXPECT_GT(sum.trace_sampled, 0u);
+  EXPECT_GT(sum.trace_dropped, 0u);
 }
 
 }  // namespace

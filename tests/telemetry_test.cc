@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,7 +23,6 @@
 #include "src/serve/pipeline_server.h"
 #include "src/serve/request.h"
 #include "src/serve/serve_options.h"
-#include "src/sim/virtual_time.h"
 #include "tests/test_operators.h"
 
 namespace keystone {
@@ -32,7 +32,6 @@ using obs::HistogramBuckets;
 using obs::SloBudgetOptions;
 using obs::SloErrorBudget;
 using obs::TelemetryHub;
-using obs::TelemetryOptions;
 using obs::TraceSampler;
 using serve::MergedSource;
 using serve::OpenLoopSource;
@@ -142,70 +141,16 @@ TEST(HistogramQuantileTest, AtomicHistogramSingleSampleNoExtrapolation) {
   EXPECT_DOUBLE_EQ(h->Quantile(0.5), 2.5);
 }
 
-// --- TraceRecorder span cap ------------------------------------------------
-
-TEST(TraceRecorderCapTest, CapsBufferAndCountsDrops) {
-  obs::MetricsRegistry registry;
-  obs::TraceRecorder recorder;
-  recorder.set_metrics(&registry);
-  recorder.set_max_spans(3);
-  EXPECT_EQ(recorder.max_spans(), 3u);
-  for (int i = 0; i < 10; ++i) {
-    obs::TraceSpan span;
-    span.name = "span" + std::to_string(i);
-    recorder.Record(span);
-  }
-  EXPECT_EQ(recorder.NumSpans(), 3u);
-  EXPECT_EQ(recorder.dropped_spans(), 7u);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("trace.dropped_spans")->Value(), 7.0);
-  // The retained spans are the *first* three (head retention: the earliest
-  // spans carry pipeline structure; a cap should not rotate them out).
-  EXPECT_EQ(recorder.Spans()[0].name, "span0");
-  recorder.Clear();
-  EXPECT_EQ(recorder.dropped_spans(), 0u);
-  obs::TraceSpan span;
-  span.name = "after-clear";
-  recorder.Record(span);
-  EXPECT_EQ(recorder.NumSpans(), 1u);
-}
-
-// --- VirtualClock tick fan-out ---------------------------------------------
-
-TEST(VirtualClockTest, NotifiesListenersMonotonically) {
-  struct Probe : TickListener {
-    std::vector<double> advances;
-    int resets = 0;
-    void OnAdvance(double now) override { advances.push_back(now); }
-    void OnReset() override { ++resets; }
-  };
-  VirtualClock clock;
-  Probe probe;
-  clock.AddListener(&probe);
-  clock.AdvanceTo(1.0);
-  clock.AdvanceTo(0.5);  // stale: ignored
-  clock.AdvanceTo(1.0);  // no motion: ignored
-  clock.AdvanceTo(2.5);
-  EXPECT_EQ(clock.Now(), 2.5);
-  ASSERT_EQ(probe.advances.size(), 2u);
-  EXPECT_DOUBLE_EQ(probe.advances[0], 1.0);
-  EXPECT_DOUBLE_EQ(probe.advances[1], 2.5);
-  clock.Reset();
-  EXPECT_EQ(probe.resets, 1);
-  EXPECT_EQ(clock.Now(), 0.0);
-  clock.RemoveListener(&probe);
-  clock.AdvanceTo(9.0);
-  EXPECT_EQ(probe.advances.size(), 2u);
-}
-
 // --- TelemetryHub windowing ------------------------------------------------
 
 TEST(TelemetryHubTest, CounterWindowsCarryDeltaRateAndTotal) {
-  TelemetryOptions opt;
-  opt.window_seconds = 1.0;
-  TelemetryHub hub(opt);
+  TelemetryHub hub(1.0);
   hub.Count("reqs", 3.0);
   hub.Tick(1.0);  // closes window 0
   hub.Count("reqs", 5.0);
+  hub.Tick(0.5);  // stale: ignored, window 1 stays open
+  hub.Tick(1.0);  // no motion: ignored
+  EXPECT_EQ(hub.windows_emitted(), 1u);
   hub.Tick(2.0);  // closes window 1
   EXPECT_EQ(hub.windows_emitted(), 2u);
   const std::string stream = hub.SnapshotJsonl();
@@ -216,9 +161,7 @@ TEST(TelemetryHubTest, CounterWindowsCarryDeltaRateAndTotal) {
 }
 
 TEST(TelemetryHubTest, SkipsEmptyWindows) {
-  TelemetryOptions opt;
-  opt.window_seconds = 1.0;
-  TelemetryHub hub(opt);
+  TelemetryHub hub(1.0);
   hub.Count("reqs");
   hub.Tick(1.0);
   hub.Tick(50.0);  // 48 empty windows: fast-forward, no lines
@@ -231,10 +174,7 @@ TEST(TelemetryHubTest, SkipsEmptyWindows) {
 }
 
 TEST(TelemetryHubTest, SlidingQuantilesMergeRingWindows) {
-  TelemetryOptions opt;
-  opt.window_seconds = 1.0;
-  opt.ring_windows = 4;
-  TelemetryHub hub(opt);
+  TelemetryHub hub(1.0);
   // Window 0 holds low latencies, window 1 high ones; window 1's sliding
   // view must cover both.
   for (int i = 0; i < 10; ++i) hub.Observe("lat", 0.010);
@@ -256,21 +196,22 @@ TEST(TelemetryHubTest, SlidingQuantilesMergeRingWindows) {
 }
 
 TEST(TelemetryHubTest, RingEvictionBoundsSlidingWindow) {
-  TelemetryOptions opt;
-  opt.window_seconds = 1.0;
-  opt.ring_windows = 2;  // sliding view = open window + 1 trailing
-  TelemetryHub hub(opt);
-  for (int w = 0; w < 4; ++w) {
-    hub.Observe("lat", 0.010 * (w + 1));
+  // Two more one-sample windows than the ring holds: the sliding view of
+  // the last one is itself plus kRingWindows - 1 predecessors.
+  TelemetryHub hub(1.0);
+  const size_t windows = TelemetryHub::kRingWindows + 2;
+  for (size_t w = 0; w < windows; ++w) {
+    hub.Observe("lat", 0.010 * static_cast<double>(w + 1));
     hub.Tick(static_cast<double>(w + 1));
   }
   std::istringstream lines(hub.SnapshotJsonl());
   std::string line;
   std::string last;
   while (std::getline(lines, line)) last = line;
-  // Last window merges itself + exactly one predecessor.
-  EXPECT_NE(last.find("\"sliding_count\":2"), std::string::npos);
-  EXPECT_NE(last.find("\"sliding_windows\":2"), std::string::npos);
+  const std::string ring = std::to_string(TelemetryHub::kRingWindows);
+  EXPECT_NE(last.find("\"sliding_count\":" + ring + ","), std::string::npos);
+  EXPECT_NE(last.find("\"sliding_windows\":" + ring + ","),
+            std::string::npos);
 }
 
 TEST(TelemetryHubTest, GaugeExportsLatestValue) {
@@ -317,6 +258,13 @@ TEST(TelemetryHubTest, IdenticalOperationSequencesYieldIdenticalStreams) {
   EXPECT_EQ(a.SnapshotJsonl(), b.SnapshotJsonl());
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream file;
+  file << in.rdbuf();
+  return file.str();
+}
+
 TEST(TelemetryHubTest, JsonlWriterMirrorsStreamToDisk) {
   const std::string path = ::testing::TempDir() + "/telemetry_test.jsonl";
   std::remove(path.c_str());
@@ -328,12 +276,47 @@ TEST(TelemetryHubTest, JsonlWriterMirrorsStreamToDisk) {
     hub.Count("reqs", 2.0);
     hub.Tick(2.0);
     hub.Flush();
-    std::ifstream in(path);
-    std::stringstream file;
-    file << in.rdbuf();
-    EXPECT_EQ(file.str(), hub.SnapshotJsonl());
+    EXPECT_EQ(ReadFile(path), hub.SnapshotJsonl());
+  }
+  // A hub destroyed without Flush() still writes every emitted window.
+  std::string stream;
+  {
+    TelemetryHub hub;
+    ASSERT_TRUE(hub.AttachJsonlWriter(path));
+    hub.Count("reqs");
+    hub.Tick(1.0);
+    hub.Observe("lat", 0.25);
+    hub.Tick(3.0);
+    stream = hub.SnapshotJsonl();
+  }
+  EXPECT_FALSE(stream.empty());
+  EXPECT_EQ(ReadFile(path), stream);
+  // A served Run leaves the file complete when it returns: its epoch
+  // closes inside Run.
+  {
+    PipelineServer server(TestCluster());
+    server.AddTenant("alpha", ServablePipeline(FitAffine(2.0, 1.0)),
+                     DoubleCodec(), ServeOptions());
+    TelemetryHub hub(0.05);
+    ASSERT_TRUE(hub.AttachJsonlWriter(path));
+    server.set_telemetry(&hub);
+    OpenLoopSource source(0, 100.0, 40, 16, 1);
+    server.Run(&source);
+    const std::string file = ReadFile(path);
+    EXPECT_NE(file.find("serve.alpha.offered"), std::string::npos);
+    EXPECT_EQ(file, hub.SnapshotJsonl());
   }
   std::remove(path.c_str());
+}
+
+TEST(TelemetryHubTest, FlushReportsAFailedWrite) {
+  // /dev/full opens fine and fails every flush with ENOSPC.
+  TelemetryHub hub;
+  if (!hub.AttachJsonlWriter("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_TRUE(hub.Flush());  // nothing emitted yet: nothing to fail
+  hub.Count("reqs");
+  hub.Tick(1.0);
+  EXPECT_FALSE(hub.Flush());
 }
 
 TEST(TelemetryHubTest, OverheadAccountingPublishesGauges) {
@@ -505,9 +488,7 @@ TEST(SloErrorBudgetTest, MinRequestsGatesShedding) {
 // --- PlanRunner integration ------------------------------------------------
 
 TEST(TelemetryIntegrationTest, PlanRunnerTicksHubFromLedger) {
-  TelemetryOptions opt;
-  opt.window_seconds = 1e-4;  // tiny windows so a small fit crosses some
-  TelemetryHub hub(opt);
+  TelemetryHub hub(1e-4);  // tiny windows so a small fit crosses some
   // An estimator with training data, so the fit actually executes nodes
   // (a transformer-only pipeline with no dataset runs nothing).
   auto data = DistDataset<double>::Partitioned({1, 2, 3, 4, 5}, 2);
@@ -541,9 +522,7 @@ ServeRun RunServeOnce(size_t num_threads, ServeOptions options,
   PipelineServer server(TestCluster(), config);
   server.AddTenant("alpha", ServablePipeline(FitAffine(2.0, 1.0)),
                    DoubleCodec(), options);
-  TelemetryOptions topt;
-  topt.window_seconds = 0.05;
-  TelemetryHub hub(topt);
+  TelemetryHub hub(0.05);
   server.set_telemetry(&hub);
   OpenLoopSource source(0, rate, requests, 16, 11);
   ServeRun run;
@@ -639,9 +618,7 @@ TEST(TelemetryIntegrationTest, RerunStartsFreshEpoch) {
   PipelineServer server(TestCluster(), config);
   server.AddTenant("alpha", ServablePipeline(FitAffine(2.0, 1.0)),
                    DoubleCodec(), ServeOptions());
-  TelemetryOptions topt;
-  topt.window_seconds = 0.05;
-  TelemetryHub hub(topt);
+  TelemetryHub hub(0.05);
   server.set_telemetry(&hub);
   OpenLoopSource a(0, 100.0, 40, 16, 1);
   server.Run(&a);
@@ -653,6 +630,37 @@ TEST(TelemetryIntegrationTest, RerunStartsFreshEpoch) {
   const std::string stream = hub.SnapshotJsonl();
   EXPECT_NE(stream.find("\"epoch\":" + std::to_string(epochs_after_first)),
             std::string::npos);
+}
+
+TEST(TelemetryIntegrationTest, HubReplacedAtTheSameAddressGetsItsOwnSeries) {
+  // Series ids belong to the hub that issued them. A new hub built in the
+  // old one's storage has the same address but an empty registry, so the
+  // server must register its series again rather than reuse stale ids.
+  ServerConfig config;
+  config.num_threads = 2;
+  PipelineServer server(TestCluster(), config);
+  ServeOptions options;
+  options.cost_admission = false;  // calibration persists across runs
+  options.trace_sample_rate = 0.5;
+  options.budget_shedding = true;
+  options.slo_budget.window_seconds = 0.05;
+  server.AddTenant("alpha", ServablePipeline(FitAffine(2.0, 1.0)),
+                   DoubleCodec(), options);
+  std::optional<TelemetryHub> hub;
+  hub.emplace(0.05);
+  const TelemetryHub* const address = &*hub;
+  server.set_telemetry(&*hub);
+  OpenLoopSource a(0, 100.0, 40, 16, 1);
+  server.Run(&a);
+  const std::string first = hub->SnapshotJsonl();
+  hub.reset();
+  hub.emplace(0.05);
+  ASSERT_EQ(&*hub, address);
+  server.set_telemetry(&*hub);
+  OpenLoopSource b(0, 100.0, 40, 16, 1);
+  server.Run(&b);
+  EXPECT_NE(first.find("serve.alpha.offered"), std::string::npos);
+  EXPECT_EQ(hub->SnapshotJsonl(), first);
 }
 
 }  // namespace
