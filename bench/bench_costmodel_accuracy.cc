@@ -52,8 +52,7 @@ void SolverStudy(Tally* tally) {
         const auto sample = corpus.train->SamplePrefix(1024);
         const DataStats sample_stats =
             sample->ComputeStats().ScaledTo(corpus.train->NumRecords());
-        const auto choice =
-            ChooseEstimatorOption(*logical, sample_stats, cluster);
+        const auto choice = ChooseOption(*logical, sample_stats, cluster);
 
         // Empirical view: run every feasible option for real.
         int best = -1;
@@ -116,8 +115,7 @@ void PcaStudy(Tally* tally) {
         const auto sample = data->SamplePrefix(16);
         const DataStats sample_stats =
             sample->ComputeStats().ScaledTo(data->NumRecords());
-        const auto choice =
-            ChooseEstimatorOption(*logical, sample_stats, cluster);
+        const auto choice = ChooseOption(*logical, sample_stats, cluster);
 
         int best = -1;
         double best_seconds = 1e300;

@@ -31,7 +31,7 @@ double KeystoneSeconds(const DataStats& stats, bool sparse,
   config.lbfgs_iterations = 20;
   auto logical = sparse ? MakeSparseLinearSolver(config)
                         : MakeDenseLinearSolver(config);
-  const auto choice = ChooseEstimatorOption(*logical, stats, cluster);
+  const auto choice = ChooseOption(*logical, stats, cluster);
   return cluster.SecondsFor(
       logical->options()[choice.option_index]->EstimateCost(
           stats, cluster.num_nodes));

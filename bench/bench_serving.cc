@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "src/common/check.h"
 #include "src/common/timer.h"
 #include "src/core/executor.h"
+#include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
 #include "src/serve/load_generator.h"
@@ -146,7 +148,9 @@ ServeReport RunConfig(const ServingFixture& fixture, double rate_per_tenant,
 /// One serving run with a telemetry hub attached: the snapshot stream, the
 /// response stream, per-request span count (from a run-local recorder, so
 /// the sampling gate sees only this run's spans), and the hub's measured
-/// overhead as a fraction of the run's wall time.
+/// overhead as a fraction of the run's wall time, plus its `obs.overhead.*`
+/// gauges (fraction excluded), which Run publishes summed over the gated
+/// legs.
 struct TelemetryLeg {
   std::string telemetry;
   std::string responses;
@@ -155,6 +159,7 @@ struct TelemetryLeg {
   double wall_seconds = 0.0;
   double overhead_seconds = 0.0;
   double overhead_fraction = 0.0;
+  std::vector<obs::MetricSnapshot> overhead_gauges;
 };
 
 /// Runs the saturating batched configuration with a TelemetryHub ticked by
@@ -215,7 +220,9 @@ TelemetryLeg RunTelemetryLeg(const ServingFixture& fixture, double rate,
   leg.overhead_fraction = leg.wall_seconds > 0.0
                               ? leg.overhead_seconds / leg.wall_seconds
                               : 0.0;
-  hub.PublishOverhead(&obs::MetricsRegistry::Global(), leg.wall_seconds);
+  obs::MetricsRegistry overhead;
+  hub.PublishOverhead(&overhead, /*run_wall_seconds=*/0.0);
+  leg.overhead_gauges = overhead.Snapshot();
   server.set_telemetry(nullptr);
   server.context()->set_tracer(nullptr);
   return leg;
@@ -289,10 +296,6 @@ PriorResult MeasureAdmissionPrior(
   result.static_prior_seconds = seeded.per_record_seconds();
 
   ExecContext env(Cluster());
-  env.set_tracer(nullptr);
-  env.set_metrics(nullptr);
-  env.set_profile_store(nullptr);
-  env.set_timeline(nullptr);
   size_t next_payload = 0;
   for (size_t b = 0; b < num_batches; ++b) {
     std::vector<size_t> payloads;
@@ -471,6 +474,18 @@ int Run(int argc, char** argv) {
               overhead_fraction * 100.0, tel_1.overhead_fraction * 100.0,
               tel_2.overhead_fraction * 100.0,
               tel_8.overhead_fraction * 100.0);
+  // Publish what the gate measured, once: each obs.overhead.* gauge summed
+  // over the gated legs, and the aggregate fraction above.
+  std::map<std::string, double> overhead_sums;
+  for (const TelemetryLeg* leg : {&tel_1, &tel_2, &tel_8}) {
+    for (const obs::MetricSnapshot& gauge : leg->overhead_gauges) {
+      overhead_sums[gauge.name] += gauge.value;
+    }
+  }
+  overhead_sums["obs.overhead.fraction"] = overhead_fraction;
+  for (const auto& [name, value] : overhead_sums) {
+    obs::MetricsRegistry::Global().Set(name, value);
+  }
 
   const ServeReport overload = RunOverloadLeg(fixture, smoke);
   const auto& overload_tenant = overload.tenants[0];

@@ -19,6 +19,10 @@
 #   6. ThreadPool is the only place src/ starts a thread: no std::thread or
 #      std::jthread outside src/common/thread_pool.{h,cc} (comments aside;
 #      std::thread::hardware_concurrency is allowed anywhere).
+#   7. src/ reaches an operator's physical options only through
+#      OperatorBase::NumOptions/Option: no dynamic_cast (or
+#      dynamic_pointer_cast) to OptimizableTransformer, OptimizableEstimator
+#      or Optimizable<...> outside src/core/operator.h.
 #
 # Exit status 1 when any check fails.
 set -euo pipefail
@@ -144,6 +148,15 @@ done < <(awk '
              FILENAME, FNR
     }
   }' "${outside_pool[@]}")
+
+# --- 7. Physical options only through OperatorBase --------------------------
+optimizable_cast='dynamic_(pointer_)?cast<[[:space:]]*(const[[:space:]]+)?'
+optimizable_cast+='(OptimizableTransformer|OptimizableEstimator|Optimizable<)'
+while IFS= read -r hit; do
+  [[ "${hit%%:*}" == src/core/operator.h ]] && continue
+  complain "${hit%:*}: cast to an Optimizable class (reach the options via \
+OperatorBase::NumOptions/Option)"
+done < <(grep -rnoE "$optimizable_cast" src || true)
 
 if [[ "$fail" != 0 ]]; then
   echo "lint: FAILED"

@@ -79,6 +79,22 @@ DataStats OneRecordStats(const PlannedNode& pn) {
 
 }  // namespace
 
+void CheckServingEffect(const PlannedNode& pn, EffectClass effect,
+                        ValidationReport* report) {
+  if (effect == EffectClass::kStateful) {
+    report->Add(Severity::kError, rules::kEffectStatefulOnServingPath, pn.id,
+                "stateful node '" + pn.name + "' on the serving path",
+                "mark node '" + pn.name +
+                    "' train-only or replace it with a pure equivalent");
+  } else if (effect == EffectClass::kTrainOnly) {
+    report->Add(Severity::kError, rules::kEffectTrainOnlyOnServingPath, pn.id,
+                "train-only node '" + pn.name + "' on the serving path",
+                "move '" + pn.name +
+                    "' off the runtime path (fit it as an estimator whose "
+                    "model serves instead)");
+  }
+}
+
 ValidationReport CheckDataflow(const PhysicalPlan& plan,
                                const DataflowResult& flow) {
   ValidationReport report = flow.report;
@@ -95,28 +111,14 @@ ValidationReport CheckDataflow(const PhysicalPlan& plan,
                  "declare a TransferShape/ModelOutputShape (or a "
                  "StaticShapeOf specialization) for the operator");
     }
-    if (f.effect == EffectClass::kStateful) {
-      if (pn.runtime) {
-        report.Add(Severity::kError, rules::kEffectStatefulOnServingPath, id,
-                   "stateful node '" + pn.name + "' on the serving path",
-                   "mark node '" + pn.name +
-                       "' train-only or replace it with a pure equivalent");
-      }
-      if (feeds_gather[static_cast<size_t>(id)]) {
-        report.Add(
-            Severity::kError, rules::kEffectStatefulOnParallelPath, id,
-            "stateful node '" + pn.name +
-                "' on a branch-parallel region (branches dispatch "
-                "concurrently)",
-            "make '" + pn.name + "' pure/seeded-deterministic");
-      }
-    }
-    if (f.effect == EffectClass::kTrainOnly && pn.runtime) {
-      report.Add(Severity::kError, rules::kEffectTrainOnlyOnServingPath, id,
-                 "train-only node '" + pn.name + "' on the serving path",
-                 "move '" + pn.name +
-                     "' off the runtime path (fit it as an estimator whose "
-                     "model serves instead)");
+    if (pn.runtime) CheckServingEffect(pn, f.effect, &report);
+    if (f.effect == EffectClass::kStateful &&
+        feeds_gather[static_cast<size_t>(id)]) {
+      report.Add(Severity::kError, rules::kEffectStatefulOnParallelPath, id,
+                 "stateful node '" + pn.name +
+                     "' on a branch-parallel region (branches dispatch "
+                     "concurrently)",
+                 "make '" + pn.name + "' pure/seeded-deterministic");
     }
     if (pn.cached && f.bytes_per_record >= 0 && pn.full_records > 0 &&
         plan.cache_budget_bytes > 0) {
@@ -356,13 +358,9 @@ double TwinProfiledRate(const PhysicalPlan& plan, int id) {
     if (!twin.train || twin.id == id || twin.kind != pn.kind) continue;
     if (pn.kind == NodeKind::kApplyModel) {
       if (twin.model_input != pn.model_input) continue;
-    } else {
-      const auto op = [&](const PlannedNode& node) {
-        return node.physical_transformer != nullptr
-                   ? node.physical_transformer.get()
-                   : plan.graph->node(node.id).transformer.get();
-      };
-      if (op(twin) == nullptr || op(twin) != op(pn)) continue;
+    } else if (pn.physical_transformer == nullptr ||
+               twin.physical_transformer != pn.physical_transformer) {
+      continue;
     }
     const double rate = ProfiledSecondsPerRecord(twin.profile);
     if (rate >= 0.0) return rate;
@@ -407,12 +405,9 @@ double StaticServingSecondsPerRecord(
       if (it == models.end() || it->second == nullptr) return -1.0;
       cost = it->second->EstimateCost(in_stats, plan.resources.num_nodes);
     } else {
-      const TransformerBase* op =
-          pn.physical_transformer != nullptr
-              ? pn.physical_transformer.get()
-              : plan.graph->node(id).transformer.get();
-      if (op == nullptr) return -1.0;
-      cost = op->EstimateCost(in_stats, plan.resources.num_nodes);
+      if (pn.physical_transformer == nullptr) return -1.0;
+      cost = pn.physical_transformer->EstimateCost(in_stats,
+                                                   plan.resources.num_nodes);
     }
     total += plan.resources.SecondsFor(cost);
     any = true;

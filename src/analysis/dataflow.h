@@ -56,6 +56,14 @@ inline constexpr char kFusionCachedInterior[] = "fusion.cached_interior";
 ValidationReport CheckDataflow(const PhysicalPlan& plan,
                                const DataflowResult& flow);
 
+/// The serving-path effect rules for runtime node `pn` whose effect class
+/// is `effect`: effect.stateful_on_serving_path or
+/// effect.train_only_on_serving_path (errors), since such a node would
+/// replay differently, or not at all, per request. Shared by CheckDataflow
+/// and ValidateServablePlan.
+void CheckServingEffect(const PlannedNode& pn, EffectClass effect,
+                        ValidationReport* report);
+
 /// Copies the inference result onto the plan's nodes (the
 /// PlannedNode::inferred_* fields, gated by dataflow_annotated), making the
 /// facts visible to plan_dump/explain and the serving-cost prior.

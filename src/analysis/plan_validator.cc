@@ -471,20 +471,7 @@ ValidationReport ValidateServablePlan(
     // annotations: stateful or train-only nodes would replay differently
     // (or not at all) per request.
     if (pn.dataflow_annotated && pn.kind != NodeKind::kEstimator) {
-      if (pn.effect == EffectClass::kStateful) {
-        report.Add(Severity::kError,
-                   rules::kEffectStatefulOnServingPath, pn.id,
-                   "stateful node '" + pn.name + "' on the serving path",
-                   "mark node '" + pn.name +
-                       "' train-only or replace it with a pure equivalent");
-      } else if (pn.effect == EffectClass::kTrainOnly) {
-        report.Add(Severity::kError,
-                   rules::kEffectTrainOnlyOnServingPath, pn.id,
-                   "train-only node '" + pn.name + "' on the serving path",
-                   "move '" + pn.name +
-                       "' off the runtime path (fit it as an estimator "
-                       "whose model serves instead)");
-      }
+      CheckServingEffect(pn, pn.effect, &report);
     }
   }
   return report;

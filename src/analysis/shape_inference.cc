@@ -46,20 +46,6 @@ class Interpreter {
  private:
   NodeFacts& facts(int id) { return result_.facts[static_cast<size_t>(id)]; }
 
-  const TransformerBase* TransformerOf(int id) const {
-    const PlannedNode& pn = plan_.nodes[static_cast<size_t>(id)];
-    if (pn.physical_transformer != nullptr) {
-      return pn.physical_transformer.get();
-    }
-    return graph_.node(id).transformer.get();
-  }
-
-  const EstimatorBase* EstimatorOf(int id) const {
-    const PlannedNode& pn = plan_.nodes[static_cast<size_t>(id)];
-    if (pn.physical_estimator != nullptr) return pn.physical_estimator.get();
-    return graph_.node(id).estimator.get();
-  }
-
   void Interpret(int id) {
     const GraphNode& gn = graph_.node(id);
     const PlannedNode& pn = plan_.nodes[static_cast<size_t>(id)];
@@ -105,27 +91,35 @@ class Interpreter {
     }
   }
 
+  /// Meets the shape flowing into node `id` with what its operator
+  /// requires of it (`what` names the input in the message). A conflict is
+  /// diagnosed on live nodes and contained by assuming the requirement, so
+  /// downstream keeps checking.
+  ValueShape MeetRequirement(int id, const PlannedNode& pn,
+                             const OperatorBase& op, const ValueShape& in,
+                             const std::string& what, bool emit) {
+    const ValueShape req = op.InputShapeRequirement();
+    const ValueShape eff = in.Meet(req);
+    if (!eff.IsBottom() || in.IsBottom()) return eff;
+    if (emit) {
+      result_.report.Add(
+          Severity::kError, rules::kShapeDimMismatch, id,
+          what + " shape " + in.ToString() + " conflicts with the " +
+              req.ToString() + " required by '" + pn.name + "'",
+          "insert Reshape(" + in.ToString() + "->" + req.ToString() +
+              ") before node " + std::to_string(id));
+    }
+    return req;
+  }
+
   void InterpretTransformer(int id, const GraphNode& gn,
                             const PlannedNode& pn, bool emit, NodeFacts* f) {
-    const TransformerBase* op = TransformerOf(id);
+    const TransformerBase* op = pn.physical_transformer.get();
     if (op == nullptr) return;
     if (gn.kind == NodeKind::kTransformer && gn.inputs.size() == 1) {
-      const ValueShape in = facts(gn.inputs[0]).shape;
-      const ValueShape req = op->InputShapeRequirement();
-      ValueShape eff = in.Meet(req);
-      if (eff.IsBottom() && !in.IsBottom()) {
-        if (emit) {
-          result_.report.Add(
-              Severity::kError, rules::kShapeDimMismatch, id,
-              "input shape " + in.ToString() + " conflicts with the " +
-                  req.ToString() + " required by '" + pn.name + "'",
-              "insert Reshape(" + in.ToString() + "->" + req.ToString() +
-                  ") before node " + std::to_string(id));
-        }
-        eff = req;  // contain the conflict so downstream keeps checking
-      }
-      f->input_shape = eff;
-      f->shape = op->TransferShape(eff);
+      f->input_shape = MeetRequirement(id, pn, *op, facts(gn.inputs[0]).shape,
+                                       "input", emit);
+      f->shape = op->TransferShape(f->input_shape);
       f->cardinality = facts(gn.inputs[0]).cardinality;
     } else {
       // Gather (or any multi-input transformer): the transfer function sees
@@ -179,25 +173,11 @@ class Interpreter {
 
   void InterpretEstimator(int id, const GraphNode& gn, const PlannedNode& pn,
                           bool emit, NodeFacts* f) {
-    const EstimatorBase* op = EstimatorOf(id);
+    const EstimatorBase* op = pn.physical_estimator.get();
     if (op == nullptr) return;
     const int data = gn.inputs[0];
-    const ValueShape in = facts(data).shape;
-    const ValueShape req = op->InputShapeRequirement();
-    ValueShape eff = in.Meet(req);
-    if (eff.IsBottom() && !in.IsBottom()) {
-      if (emit) {
-        result_.report.Add(
-            Severity::kError, rules::kShapeDimMismatch, id,
-            "training input shape " + in.ToString() +
-                " conflicts with the " + req.ToString() + " required by '" +
-                pn.name + "'",
-            "insert Reshape(" + in.ToString() + "->" + req.ToString() +
-                ") before node " + std::to_string(id));
-      }
-      eff = req;
-    }
-    f->input_shape = eff;
+    f->input_shape = MeetRequirement(id, pn, *op, facts(data).shape,
+                                     "training input", emit);
     CardinalityInterval card = facts(data).cardinality;
     if (gn.inputs.size() > 1) {
       const int labels = gn.inputs[1];
@@ -226,7 +206,7 @@ class Interpreter {
     }
     // The node's output is a model, not a dataset; `shape` records what the
     // fitted model will emit per record (consumed by apply-model nodes).
-    f->shape = op->ModelOutputShape(eff);
+    f->shape = op->ModelOutputShape(f->input_shape);
     f->cardinality = CardinalityInterval::Exact(0);
     f->effect = EffectClass::kTrainOnly;
     f->bytes_per_record = 0.0;
@@ -307,7 +287,8 @@ class Interpreter {
             bcand = facts(tin).bytes_per_record;
           }
           if (cand.IsTop()) {
-            const TransformerBase* op = TransformerOf(c);
+            const TransformerBase* op =
+                plan_.nodes[static_cast<size_t>(c)].physical_transformer.get();
             if (op != nullptr) cand = op->InputShapeRequirement();
           }
         }

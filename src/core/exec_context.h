@@ -48,9 +48,10 @@ struct ExecOptions {
 ///    long-lived (a PipelineExecutor or a PipelineServer owns one); and
 ///  - the per-run state (ledger, fault plan) that belongs to exactly one
 ///    fit or one serving request.
-/// MakeRequestContext() clones the environment into a fresh context with
-/// clean per-run state — the serving path mints one per batch so request
-/// ledgers never bleed into each other or into a concurrent fit.
+/// MakeRequestContext() clones the compute environment, without the sinks,
+/// into a fresh context with clean per-run state — the serving path mints
+/// one per batch so request ledgers never bleed into each other or into a
+/// concurrent fit.
 class ExecContext {
  public:
   explicit ExecContext(const ClusterResourceDescriptor& resources)
@@ -109,18 +110,19 @@ class ExecContext {
     catalog_ = catalog;
   }
 
-  /// A fresh context sharing this one's environment (resources, pool,
-  /// observability sinks) with clean per-run state: a zeroed ledger and no
-  /// fault plan. The serving request path reads a request's virtual service
-  /// seconds off its own ledger.
+  /// A fresh context sharing this one's compute environment (resources,
+  /// pool, exec options, artifact catalog) with clean per-run state: a
+  /// zeroed ledger and no fault plan. It carries no observability sinks:
+  /// the request path emits nothing itself (a server publishes spans and
+  /// metrics from its serial completion path) and reads a request's
+  /// virtual service seconds off the context's own ledger.
   std::unique_ptr<ExecContext> MakeRequestContext() const {
     auto ctx = std::make_unique<ExecContext>(resources_);
     ctx->pool_ = pool_;
-    ctx->tracer_ = tracer_;
-    ctx->set_metrics(metrics_);
-    ctx->profile_store_ = profile_store_;
-    ctx->timeline_ = timeline_;
-    ctx->telemetry_ = telemetry_;
+    ctx->tracer_ = nullptr;
+    ctx->set_metrics(nullptr);
+    ctx->profile_store_ = nullptr;
+    ctx->timeline_ = nullptr;
     ctx->exec_options_ = exec_options_;
     ctx->catalog_ = catalog_;
     return ctx;

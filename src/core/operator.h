@@ -13,12 +13,14 @@
 
 namespace keystone {
 
-/// Base class for all physical operators that map datasets to datasets.
-/// Mirrors the paper's Transformer trait: a deterministic, side-effect-free
-/// unary function over data items, plus a CostModel used by the optimizer.
-class TransformerBase {
+/// What every operator shares, whichever its kind: identity, the cost model
+/// the optimizer scores (paper Figure 3), the static dataflow metadata the
+/// analysis layer reads, and — for a logical operator with several physical
+/// implementations (the paper's Optimizable trait) — its options.
+/// Transformers and estimators add only what their kind does with data.
+class OperatorBase {
  public:
-  virtual ~TransformerBase() = default;
+  virtual ~OperatorBase() = default;
 
   /// Operator name (diagnostics, DAG rendering, bench output).
   virtual std::string Name() const = 0;
@@ -32,6 +34,64 @@ class TransformerBase {
   /// the other. Parameterless operators keep the default empty signature.
   virtual std::string ParamSignature() const { return ""; }
 
+  /// CostModel: estimated critical-path cost of processing (for an
+  /// estimator: fitting on) a dataset with statistics `in` on `workers`
+  /// cluster nodes. The default charges one memory scan of the input.
+  virtual CostProfile EstimateCost(const DataStats& in, int workers) const {
+    CostProfile cost;
+    cost.bytes = in.TotalBytes() / std::max(1, workers);
+    return cost;
+  }
+
+  /// Bytes of cluster memory required during execution beyond inputs and
+  /// outputs (used for feasibility checks; 0 = negligible).
+  virtual double ScratchMemoryBytes(const DataStats& in, int workers) const {
+    (void)in;
+    (void)workers;
+    return 0.0;
+  }
+
+  /// Number of passes the operator makes over its input (paper's Iterative
+  /// trait weight: 1 for ordinary transformers, ~#iterations for gradient
+  /// methods). Materialization uses it to weigh recomputation costs.
+  virtual int Weight() const { return 1; }
+
+  // --- Static dataflow metadata (consumed by src/analysis) -----------------
+
+  /// Shape this operator requires of each (training) input record; Top =
+  /// anything. The inference engine meets the incoming shape with this
+  /// requirement and reports a shape.dim_mismatch diagnostic when the meet
+  /// is Bottom.
+  virtual ValueShape InputShapeRequirement() const {
+    return ValueShape::Top();
+  }
+
+  /// Effect class for the purity/fusibility analysis. Pure by default;
+  /// operators that draw from a fixed seed (k-means, GMM, randomized
+  /// projections) declare kSeededDeterministic, and anything with hidden
+  /// mutable state declares kStateful.
+  virtual EffectClass Effect() const { return EffectClass::kPure; }
+
+  // --- Physical options (the Optimizable trait) ----------------------------
+
+  /// How many physical implementations the optimizer may choose among;
+  /// 0 for an operator with one implementation.
+  virtual int NumOptions() const { return 0; }
+
+  /// Physical option `i` (0 <= i < NumOptions(); option 0 is the default
+  /// used when optimization is off). Null for an operator with one
+  /// implementation. An option is of its logical operator's kind.
+  virtual std::shared_ptr<OperatorBase> Option(int i) const {
+    (void)i;
+    return nullptr;
+  }
+};
+
+/// Base class for all physical operators that map datasets to datasets.
+/// Mirrors the paper's Transformer trait: a deterministic, side-effect-free
+/// unary function over data items, plus the shared cost model.
+class TransformerBase : public OperatorBase {
+ public:
   /// Applies the operator to (usually one) input dataset(s).
   virtual AnyDataset ApplyAny(const std::vector<AnyDataset>& inputs,
                               ExecContext* ctx) const = 0;
@@ -52,36 +112,6 @@ class TransformerBase {
     return nullptr;
   }
 
-  /// CostModel: estimated critical-path cost of processing a dataset with
-  /// statistics `in` on `workers` cluster nodes (paper Figure 3). The
-  /// default charges one memory scan of the input.
-  virtual CostProfile EstimateCost(const DataStats& in, int workers) const {
-    CostProfile cost;
-    cost.bytes = in.TotalBytes() / std::max(1, workers);
-    return cost;
-  }
-
-  /// Bytes of cluster memory required during execution beyond inputs and
-  /// outputs (used for feasibility checks; 0 = negligible).
-  virtual double ScratchMemoryBytes(const DataStats& in, int workers) const {
-    (void)in;
-    (void)workers;
-    return 0.0;
-  }
-
-  /// Number of passes the operator makes over its input (paper's Iterative
-  /// trait weight; 1 for ordinary transformers).
-  virtual int Weight() const { return 1; }
-
-  // --- Static dataflow metadata (consumed by src/analysis) -----------------
-
-  /// Shape this operator requires of each input record; Top = anything.
-  /// The inference engine meets the incoming shape with this requirement
-  /// and reports a shape.dim_mismatch diagnostic when the meet is Bottom.
-  virtual ValueShape InputShapeRequirement() const {
-    return ValueShape::Top();
-  }
-
   /// Transfer function: output record shape given the input record shape.
   /// The engine has already met `in` with InputShapeRequirement(), so
   /// implementations may assume the kind matches their requirement.
@@ -95,11 +125,6 @@ class TransformerBase {
       const std::vector<ValueShape>& ins) const {
     return ins.size() == 1 ? TransferShape(ins[0]) : ValueShape::Top();
   }
-
-  /// Effect class for the purity/fusibility analysis. Pure by default;
-  /// operators that draw from a fixed seed declare kSeededDeterministic,
-  /// and anything with hidden mutable state declares kStateful.
-  virtual EffectClass Effect() const { return EffectClass::kPure; }
 };
 
 /// Typed per-record transformer. Implementations override Apply (record at
@@ -163,16 +188,8 @@ struct Fitted {
 
 /// Base class for operators that are fit on a dataset and produce a
 /// transformer (the paper's Estimator: a function-generating function).
-class EstimatorBase {
+class EstimatorBase : public OperatorBase {
  public:
-  virtual ~EstimatorBase() = default;
-
-  virtual std::string Name() const = 0;
-
-  /// Stable digest of output-changing configuration; see
-  /// TransformerBase::ParamSignature.
-  virtual std::string ParamSignature() const { return ""; }
-
   /// Fits on `data` (and `labels` when the estimator is supervised; null
   /// otherwise), returning the fitted model as a transformer together with
   /// the fit's cost when the kernel reports one.
@@ -194,33 +211,10 @@ class EstimatorBase {
     return std::nullopt;
   }
 
-  /// CostModel for the fitting step (see TransformerBase::EstimateCost).
-  virtual CostProfile EstimateCost(const DataStats& in, int workers) const {
-    CostProfile cost;
-    cost.bytes = in.TotalBytes() / std::max(1, workers);
-    return cost;
-  }
-
-  virtual double ScratchMemoryBytes(const DataStats& in, int workers) const {
-    (void)in;
-    (void)workers;
-    return 0.0;
-  }
-
-  /// Number of passes over the input dataset during fitting (the Iterative
-  /// weight; e.g. ~#iterations for gradient methods). Materialization uses
-  /// this to weigh recomputation costs.
-  virtual int Weight() const { return 1; }
-
   /// True when the estimator consumes a label dataset.
   virtual bool IsSupervised() const { return false; }
 
   // --- Static dataflow metadata (consumed by src/analysis) -----------------
-
-  /// Shape required of the training-data records; Top = anything.
-  virtual ValueShape InputShapeRequirement() const {
-    return ValueShape::Top();
-  }
 
   /// Shape required of the label records (supervised estimators only).
   virtual ValueShape LabelShapeRequirement() const {
@@ -233,10 +227,6 @@ class EstimatorBase {
     (void)data_in;
     return ValueShape::Top();
   }
-
-  /// Effect class of the fitting step; seeded estimators (k-means, GMM,
-  /// randomized projections) declare kSeededDeterministic.
-  virtual EffectClass Effect() const { return EffectClass::kPure; }
 };
 
 /// Typed unsupervised estimator over records of type A producing a
@@ -322,14 +312,17 @@ class LabelEstimator : public EstimatorBase {
   bool IsSupervised() const override { return true; }
 };
 
-/// A logical transformer with multiple physical implementations (the
-/// paper's Optimizable trait). The operator-level optimizer evaluates each
-/// option's CostModel on sampled statistics and picks the cheapest feasible
-/// one; without optimization the default (first) option is used.
-class OptimizableTransformer : public TransformerBase {
+/// A logical operator with multiple physical implementations (the paper's
+/// Optimizable trait), of kind `Base` (TransformerBase or EstimatorBase).
+/// The operator-level optimizer evaluates each option's CostModel on
+/// sampled statistics and picks the cheapest feasible one; without
+/// optimization the default (first) option is used, and the logical
+/// operator's parameter signature, cost model, input requirement and
+/// effect are the default option's.
+template <typename Base>
+class Optimizable : public Base {
  public:
-  OptimizableTransformer(std::string name,
-                         std::vector<std::shared_ptr<TransformerBase>> options)
+  Optimizable(std::string name, std::vector<std::shared_ptr<Base>> options)
       : name_(std::move(name)), options_(std::move(options)) {
     KS_CHECK(!options_.empty());
   }
@@ -340,103 +333,79 @@ class OptimizableTransformer : public TransformerBase {
   /// hyper-parameters; every option carries the same configuration, so the
   /// default option's signature stands in for the logical node's.
   std::string ParamSignature() const override {
-    return options_[0]->ParamSignature();
+    return default_option().ParamSignature();
   }
 
-  const std::vector<std::shared_ptr<TransformerBase>>& options() const {
+  const std::vector<std::shared_ptr<Base>>& options() const {
     return options_;
   }
 
-  /// Default physical operator (used when optimization is off).
-  const std::shared_ptr<TransformerBase>& default_option() const {
-    return options_[0];
-  }
-
-  AnyDataset ApplyAny(const std::vector<AnyDataset>& inputs,
-                      ExecContext* ctx) const override {
-    return options_[0]->ApplyAny(inputs, ctx);
-  }
-
-  bool SupportsChunkedApply() const override {
-    return options_[0]->SupportsChunkedApply();
-  }
-  AnyChunk ApplyChunk(const AnyChunk& in, ExecContext* ctx) const override {
-    return options_[0]->ApplyChunk(in, ctx);
+  int NumOptions() const override { return static_cast<int>(options_.size()); }
+  std::shared_ptr<OperatorBase> Option(int i) const override {
+    return options_[static_cast<size_t>(i)];
   }
 
   CostProfile EstimateCost(const DataStats& in, int workers) const override {
-    return options_[0]->EstimateCost(in, workers);
+    return default_option().EstimateCost(in, workers);
   }
-
   ValueShape InputShapeRequirement() const override {
-    return options_[0]->InputShapeRequirement();
+    return default_option().InputShapeRequirement();
   }
-  ValueShape TransferShape(const ValueShape& in) const override {
-    return options_[0]->TransferShape(in);
-  }
-  ValueShape TransferShapeMulti(
-      const std::vector<ValueShape>& ins) const override {
-    return options_[0]->TransferShapeMulti(ins);
-  }
-  EffectClass Effect() const override { return options_[0]->Effect(); }
+  EffectClass Effect() const override { return default_option().Effect(); }
+
+ protected:
+  /// Default physical operator (used when optimization is off).
+  const Base& default_option() const { return *options_[0]; }
 
  private:
   std::string name_;
-  std::vector<std::shared_ptr<TransformerBase>> options_;
+  std::vector<std::shared_ptr<Base>> options_;
 };
 
-/// A logical estimator with multiple physical implementations.
-class OptimizableEstimator : public EstimatorBase {
+/// A logical transformer: applies through its default option.
+class OptimizableTransformer : public Optimizable<TransformerBase> {
  public:
-  OptimizableEstimator(std::string name,
-                       std::vector<std::shared_ptr<EstimatorBase>> options)
-      : name_(std::move(name)), options_(std::move(options)) {
-    KS_CHECK(!options_.empty());
-  }
+  using Optimizable::Optimizable;
 
-  std::string Name() const override { return name_; }
-
-  /// See OptimizableTransformer::ParamSignature.
-  std::string ParamSignature() const override {
-    return options_[0]->ParamSignature();
+  AnyDataset ApplyAny(const std::vector<AnyDataset>& inputs,
+                      ExecContext* ctx) const override {
+    return default_option().ApplyAny(inputs, ctx);
   }
-
-  const std::vector<std::shared_ptr<EstimatorBase>>& options() const {
-    return options_;
+  bool SupportsChunkedApply() const override {
+    return default_option().SupportsChunkedApply();
   }
-
-  const std::shared_ptr<EstimatorBase>& default_option() const {
-    return options_[0];
+  AnyChunk ApplyChunk(const AnyChunk& in, ExecContext* ctx) const override {
+    return default_option().ApplyChunk(in, ctx);
   }
+  ValueShape TransferShape(const ValueShape& in) const override {
+    return default_option().TransferShape(in);
+  }
+  ValueShape TransferShapeMulti(
+      const std::vector<ValueShape>& ins) const override {
+    return default_option().TransferShapeMulti(ins);
+  }
+};
+
+/// A logical estimator: fits through its default option.
+class OptimizableEstimator : public Optimizable<EstimatorBase> {
+ public:
+  using Optimizable::Optimizable;
 
   Fitted<TransformerBase> FitAny(const AnyDataset& data,
                                  const AnyDataset& labels,
                                  ExecContext* ctx) const override {
-    return options_[0]->FitAny(data, labels, ctx);
+    return default_option().FitAny(data, labels, ctx);
   }
-
-  CostProfile EstimateCost(const DataStats& in, int workers) const override {
-    return options_[0]->EstimateCost(in, workers);
-  }
-
-  int Weight() const override { return options_[0]->Weight(); }
-
-  bool IsSupervised() const override { return options_[0]->IsSupervised(); }
-
-  ValueShape InputShapeRequirement() const override {
-    return options_[0]->InputShapeRequirement();
+  int Weight() const override { return default_option().Weight(); }
+  bool IsSupervised() const override {
+    return default_option().IsSupervised();
   }
   ValueShape LabelShapeRequirement() const override {
-    return options_[0]->LabelShapeRequirement();
+    return default_option().LabelShapeRequirement();
   }
   ValueShape ModelOutputShape(const ValueShape& data_in) const override {
-    return options_[0]->ModelOutputShape(data_in);
+    return default_option().ModelOutputShape(data_in);
   }
-  EffectClass Effect() const override { return options_[0]->Effect(); }
-
- private:
-  std::string name_;
-  std::vector<std::shared_ptr<EstimatorBase>> options_;
 };
 
 }  // namespace keystone

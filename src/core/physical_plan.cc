@@ -14,60 +14,39 @@ namespace keystone {
 
 namespace {
 
-/// The shared operator instance a node carries (CSE and train/runtime
-/// copies share instances, so this is the propagation key for choices).
-const void* OperatorKey(const GraphNode& node) {
-  if (node.transformer != nullptr) return node.transformer.get();
-  if (node.estimator != nullptr) return node.estimator.get();
-  return nullptr;
-}
-
 /// Resolves the physical operator for a planned node from its logical node
 /// and chosen option: the selected (or default) option for Optimizable
-/// operators, the logical operator itself otherwise.
+/// operators, the logical operator itself otherwise. Sources carry data;
+/// placeholders and apply-model nodes resolve their operator (the runtime
+/// input / the fitted model) at run time.
 void ResolvePhysical(const GraphNode& node, PlannedNode* pn) {
   pn->optimizable = false;
   pn->physical_transformer = nullptr;
   pn->physical_estimator = nullptr;
   pn->physical_name.clear();
   pn->weight = 1;
-  switch (node.kind) {
-    case NodeKind::kTransformer:
-    case NodeKind::kGather: {
-      auto* optimizable =
-          dynamic_cast<OptimizableTransformer*>(node.transformer.get());
-      if (optimizable != nullptr) {
-        pn->optimizable = true;
-        const int index = pn->chosen_option >= 0 ? pn->chosen_option : 0;
-        KS_CHECK_LT(index, static_cast<int>(optimizable->options().size()));
-        pn->physical_transformer = optimizable->options()[index];
-        pn->physical_name = pn->physical_transformer->Name();
-      } else {
-        pn->physical_transformer = node.transformer;
-      }
-      pn->weight = pn->physical_transformer->Weight();
-      break;
-    }
-    case NodeKind::kEstimator: {
-      auto* optimizable =
-          dynamic_cast<OptimizableEstimator*>(node.estimator.get());
-      if (optimizable != nullptr) {
-        pn->optimizable = true;
-        const int index = pn->chosen_option >= 0 ? pn->chosen_option : 0;
-        KS_CHECK_LT(index, static_cast<int>(optimizable->options().size()));
-        pn->physical_estimator = optimizable->options()[index];
-        pn->physical_name = pn->physical_estimator->Name();
-      } else {
-        pn->physical_estimator = node.estimator;
-      }
-      pn->weight = pn->physical_estimator->Weight();
-      break;
-    }
-    default:
-      // Sources carry data; placeholders and apply-model nodes resolve
-      // their operator (the runtime input / the fitted model) at run time.
-      break;
+  const OperatorBase* op = node.op();
+  if (op == nullptr) return;
+  std::shared_ptr<OperatorBase> option;
+  if (op->NumOptions() > 0) {
+    pn->optimizable = true;
+    const int index = pn->chosen_option >= 0 ? pn->chosen_option : 0;
+    KS_CHECK_LT(index, op->NumOptions());
+    option = op->Option(index);
+    pn->physical_name = option->Name();
+    op = option.get();
   }
+  // An option is of its logical operator's kind.
+  if (node.kind == NodeKind::kEstimator) {
+    pn->physical_estimator =
+        option ? std::static_pointer_cast<EstimatorBase>(option)
+               : node.estimator;
+  } else {
+    pn->physical_transformer =
+        option ? std::static_pointer_cast<TransformerBase>(option)
+               : node.transformer;
+  }
+  pn->weight = op->Weight();
 }
 
 /// `Name` plus the operator's parameter digest, so two instances of one
@@ -75,12 +54,7 @@ void ResolvePhysical(const GraphNode& node, PlannedNode* pn) {
 /// Scale(2) and a Scale(3) produce different data; keying the profile
 /// store or the artifact catalog on the bare class name would let one
 /// stand in for the other.
-std::string ParamQualifiedName(const TransformerBase& op) {
-  const std::string params = op.ParamSignature();
-  return params.empty() ? op.Name() : op.Name() + "(" + params + ")";
-}
-
-std::string ParamQualifiedName(const EstimatorBase& op) {
+std::string ParamQualifiedName(const OperatorBase& op) {
   const std::string params = op.ParamSignature();
   return params.empty() ? op.Name() : op.Name() + "(" + params + ")";
 }
@@ -96,9 +70,8 @@ std::string OperatorSignature(const PipelineGraph& graph,
       return "placeholder";
     case NodeKind::kTransformer:
     case NodeKind::kGather:
-      return ParamQualifiedName(*node.transformer);
     case NodeKind::kEstimator:
-      return ParamQualifiedName(*node.estimator);
+      return ParamQualifiedName(*node.op());
     case NodeKind::kApplyModel: {
       const GraphNode& est = graph.node(node.model_input);
       return "apply(" + (est.estimator != nullptr
@@ -166,14 +139,14 @@ const char* ExecModeName(ExecMode mode) {
 
 void PhysicalPlan::SetChosenOption(int id, int option) {
   KS_CHECK(id >= 0 && id < static_cast<int>(nodes.size()));
-  const void* key = OperatorKey(graph->node(id));
+  const OperatorBase* key = graph->node(id).op();
   KS_CHECK(key != nullptr) << "node " << id << " has no operator to choose";
   // Train-time copies and their runtime counterparts share the Optimizable
   // instance (CopyWithSubstitution shares operators), so one selection
   // binds every node carrying that instance.
   for (PlannedNode& pn : nodes) {
     if (!pn.optimizable) continue;
-    if (OperatorKey(graph->node(pn.id)) != key) continue;
+    if (graph->node(pn.id).op() != key) continue;
     pn.chosen_option = option;
     ResolvePhysical(graph->node(pn.id), &pn);
   }
@@ -181,14 +154,8 @@ void PhysicalPlan::SetChosenOption(int id, int option) {
 
 int PhysicalPlan::NumOptions(int id) const {
   KS_CHECK(id >= 0 && id < static_cast<int>(nodes.size()));
-  const GraphNode& node = graph->node(id);
-  if (auto* t = dynamic_cast<OptimizableTransformer*>(node.transformer.get())) {
-    return static_cast<int>(t->options().size());
-  }
-  if (auto* e = dynamic_cast<OptimizableEstimator*>(node.estimator.get())) {
-    return static_cast<int>(e->options().size());
-  }
-  return 0;
+  const OperatorBase* op = graph->node(id).op();
+  return op == nullptr ? 0 : op->NumOptions();
 }
 
 int PhysicalPlan::NumTrainNodes() const {

@@ -163,8 +163,8 @@ int PipelineGraph::CopyWithSubstitution(int target, int placeholder,
 int PipelineGraph::EliminateCommonSubexpressions(std::vector<int>* remap) {
   // Canonical id for each node; nodes with identical signatures share one.
   std::vector<int> canon(size());
-  using Signature = std::tuple<int, const void*, const void*, std::vector<int>,
-                               int, std::string>;
+  using Signature = std::tuple<int, const OperatorBase*, const void*,
+                               std::vector<int>, int, std::string>;
   std::map<Signature, int> seen;
   int eliminated = 0;
   for (int id = 0; id < size(); ++id) {
@@ -173,12 +173,9 @@ int PipelineGraph::EliminateCommonSubexpressions(std::vector<int>* remap) {
     for (auto& in : mapped_inputs) in = canon[in];
     const int mapped_model =
         node.model_input >= 0 ? canon[node.model_input] : -1;
-    const void* op_identity = node.transformer != nullptr
-                                  ? static_cast<const void*>(node.transformer.get())
-                                  : static_cast<const void*>(node.estimator.get());
     // Placeholders are never merged with each other except identical id —
     // use the name to keep distinct placeholders distinct.
-    Signature sig{static_cast<int>(node.kind), op_identity,
+    Signature sig{static_cast<int>(node.kind), node.op(),
                   static_cast<const void*>(node.bound_data.get()),
                   mapped_inputs, mapped_model,
                   node.kind == NodeKind::kPlaceholder ? node.name : ""};

@@ -45,6 +45,15 @@ struct GraphNode {
   std::shared_ptr<TransformerBase> transformer;
   std::shared_ptr<EstimatorBase> estimator;
   AnyDataset bound_data;
+
+  /// The node's operator whichever its kind; null for sources, placeholders
+  /// and apply-model nodes. Train-time copies and their runtime
+  /// counterparts share the instance, so it is the node's operator
+  /// identity (CSE, option propagation).
+  const OperatorBase* op() const {
+    if (transformer != nullptr) return transformer.get();
+    return estimator.get();
+  }
 };
 
 /// The operator DAG built incrementally by the Pipeline API. Nodes are

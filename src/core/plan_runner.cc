@@ -167,7 +167,7 @@ std::shared_ptr<TransformerBase> PlanRunner::TransformerFor(
   return it == apply_models_->end() ? nullptr : it->second;
 }
 
-void PlanRunner::NameOperator(const PlannedNode& pn, const TransformerBase& op,
+void PlanRunner::NameOperator(const PlannedNode& pn, const OperatorBase& op,
                               NodeOutcome* out) const {
   out->op_name = op.Name();
   out->span.physical =
@@ -323,8 +323,7 @@ void PlanRunner::ExecuteNode(int id) {
         select_(id, in_stats);
       }
       const std::shared_ptr<EstimatorBase> est = pn.physical_estimator;
-      out.op_name = est->Name();
-      span.physical = pn.physical_name;
+      NameOperator(pn, *est, &out);
       span.predicted = est->EstimateCost(in_stats, resources.num_nodes);
       InvokeAndCharge(&out, in_stats, scale, [&] {
         if (cost_only_[id]) {

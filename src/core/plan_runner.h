@@ -117,7 +117,7 @@ class PlanRunner {
   /// Records `op` as the operator executing `pn`. The span shows the
   /// optimizer's physical choice on the training path and the operator's
   /// own name for fitted models and on the runtime path.
-  void NameOperator(const PlannedNode& pn, const TransformerBase& op,
+  void NameOperator(const PlannedNode& pn, const OperatorBase& op,
                     NodeOutcome* out) const;
 
   /// The single invoke → time → charge path of operator nodes. Times

@@ -9,15 +9,11 @@
 
 namespace keystone {
 
-namespace {
-
-/// Generic selection over (cost, scratch) pairs.
-template <typename Op>
-PhysicalChoice ChooseOption(const std::vector<std::shared_ptr<Op>>& options,
-                            const DataStats& stats,
+PhysicalChoice ChooseOption(const OperatorBase& logical, const DataStats& stats,
                             const ClusterResourceDescriptor& r,
                             const obs::ProfileStore* history) {
-  KS_CHECK(!options.empty());
+  const int num_options = logical.NumOptions();
+  KS_CHECK_GT(num_options, 0) << logical.Name() << " has no physical options";
   const double node_memory = r.memory_per_node_gb * 1e9;
 
   PhysicalChoice best;
@@ -27,13 +23,14 @@ PhysicalChoice ChooseOption(const std::vector<std::shared_ptr<Op>>& options,
   double min_scratch = std::numeric_limits<double>::infinity();
   int min_scratch_index = 0;
 
-  best.scored.reserve(options.size());
-  for (size_t i = 0; i < options.size(); ++i) {
-    const double scratch = options[i]->ScratchMemoryBytes(stats, r.num_nodes);
-    CostProfile cost = options[i]->EstimateCost(stats, r.num_nodes);
+  best.scored.reserve(static_cast<size_t>(num_options));
+  for (int i = 0; i < num_options; ++i) {
+    const std::shared_ptr<OperatorBase> option = logical.Option(i);
+    const double scratch = option->ScratchMemoryBytes(stats, r.num_nodes);
+    CostProfile cost = option->EstimateCost(stats, r.num_nodes);
     bool from_history = false;
     if (history != nullptr) {
-      const auto observed = history->ObservedFor(options[i]->Name(), stats);
+      const auto observed = history->ObservedFor(option->Name(), stats);
       if (observed.has_value()) {
         cost = *observed;
         from_history = true;
@@ -44,8 +41,8 @@ PhysicalChoice ChooseOption(const std::vector<std::shared_ptr<Op>>& options,
     const bool feasible = scratch <= node_memory;
 
     obs::OptionScore score;
-    score.option_index = static_cast<int>(i);
-    score.name = options[i]->Name();
+    score.option_index = i;
+    score.name = option->Name();
     score.cost = cost;
     score.estimated_seconds = seconds;
     score.scratch_bytes = scratch;
@@ -55,12 +52,12 @@ PhysicalChoice ChooseOption(const std::vector<std::shared_ptr<Op>>& options,
 
     if (scratch < min_scratch) {
       min_scratch = scratch;
-      min_scratch_index = static_cast<int>(i);
+      min_scratch_index = i;
     }
     if (feasible && seconds < best_seconds) {
       runner_up_seconds = best_seconds;
       best_seconds = seconds;
-      best.option_index = static_cast<int>(i);
+      best.option_index = i;
       best.estimated_seconds = seconds;
       any_feasible = true;
     } else if (feasible && seconds < runner_up_seconds) {
@@ -68,31 +65,16 @@ PhysicalChoice ChooseOption(const std::vector<std::shared_ptr<Op>>& options,
     }
   }
   if (!any_feasible) {
+    // The smallest footprint wins, priced as it was scored (from history
+    // when the store corrected it).
     best.option_index = min_scratch_index;
     best.estimated_seconds =
-        r.SecondsFor(options[min_scratch_index]->EstimateCost(stats,
-                                                              r.num_nodes));
+        best.scored[static_cast<size_t>(min_scratch_index)].estimated_seconds;
     best.feasible = false;
   } else if (std::isfinite(runner_up_seconds) && best_seconds > 0) {
     best.margin = runner_up_seconds / best_seconds - 1.0;
   }
   return best;
-}
-
-}  // namespace
-
-PhysicalChoice ChooseTransformerOption(const OptimizableTransformer& logical,
-                                       const DataStats& stats,
-                                       const ClusterResourceDescriptor& r,
-                                       const obs::ProfileStore* history) {
-  return ChooseOption(logical.options(), stats, r, history);
-}
-
-PhysicalChoice ChooseEstimatorOption(const OptimizableEstimator& logical,
-                                     const DataStats& stats,
-                                     const ClusterResourceDescriptor& r,
-                                     const obs::ProfileStore* history) {
-  return ChooseOption(logical.options(), stats, r, history);
 }
 
 }  // namespace keystone

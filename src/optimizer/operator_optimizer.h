@@ -1,7 +1,6 @@
 #ifndef KEYSTONE_OPTIMIZER_OPERATOR_OPTIMIZER_H_
 #define KEYSTONE_OPTIMIZER_OPERATOR_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/core/operator.h"
@@ -29,25 +28,17 @@ struct PhysicalChoice {
   std::vector<obs::OptionScore> scored;
 };
 
-/// Picks the cheapest feasible physical implementation for an Optimizable
-/// transformer given input statistics and cluster resources (paper §3).
-/// Options whose scratch memory exceeds per-node memory are infeasible; if
-/// every option is infeasible the one with the smallest footprint wins.
-/// When `history` is non-null, options with recorded observed costs are
-/// scored from that history (rescaled to `stats`) instead of their cost
-/// model — the profile store correcting the estimate.
-PhysicalChoice ChooseTransformerOption(const OptimizableTransformer& logical,
-                                       const DataStats& stats,
-                                       const ClusterResourceDescriptor& r,
-                                       const obs::ProfileStore* history =
-                                           nullptr);
-
-/// Same selection for Optimizable estimators.
-PhysicalChoice ChooseEstimatorOption(const OptimizableEstimator& logical,
-                                     const DataStats& stats,
-                                     const ClusterResourceDescriptor& r,
-                                     const obs::ProfileStore* history =
-                                         nullptr);
+/// Picks the cheapest feasible physical implementation of an Optimizable
+/// operator (transformer or estimator; NumOptions() > 0) given input
+/// statistics and cluster resources (paper §3). Options whose scratch
+/// memory exceeds per-node memory are infeasible; if every option is
+/// infeasible the one with the smallest footprint wins. When `history` is
+/// non-null, options with recorded observed costs are scored from that
+/// history (rescaled to `stats`) instead of their cost model — the profile
+/// store correcting the estimate.
+PhysicalChoice ChooseOption(const OperatorBase& logical, const DataStats& stats,
+                            const ClusterResourceDescriptor& r,
+                            const obs::ProfileStore* history = nullptr);
 
 }  // namespace keystone
 

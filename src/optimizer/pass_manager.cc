@@ -212,22 +212,12 @@ void ProfileAndSelectPass::Run(PhysicalPlan* plan, PassContext* pctx) {
   if (plan->config.operator_selection) {
     select = [plan, ctx, history](int id, const DataStats& in_stats) {
       const PlannedNode& pn = plan->nodes[id];
-      const GraphNode& node = plan->graph->node(id);
       // Score options at the node's full-scale input cardinality, not the
       // sample the hook observed (§3: selection targets the real run).
-      const DataStats full_stats = in_stats.ScaledTo(pn.input_records);
-      PhysicalChoice choice;
-      if (node.kind == NodeKind::kEstimator) {
-        auto* optimizable =
-            dynamic_cast<OptimizableEstimator*>(node.estimator.get());
-        choice = ChooseEstimatorOption(*optimizable, full_stats,
-                                       ctx->resources(), history);
-      } else {
-        auto* optimizable =
-            dynamic_cast<OptimizableTransformer*>(node.transformer.get());
-        choice = ChooseTransformerOption(*optimizable, full_stats,
-                                         ctx->resources(), history);
-      }
+      PhysicalChoice choice =
+          ChooseOption(*plan->graph->node(id).op(),
+                       in_stats.ScaledTo(pn.input_records), ctx->resources(),
+                       history);
       plan->SetChosenOption(id, choice.option_index);
       if (choice.history_corrected > 0 && ctx->metrics() != nullptr) {
         ctx->metrics()->Increment("optimizer.history_corrected",

@@ -459,20 +459,14 @@ void PipelineServer::FormBatch(int tenant_id, int slot) {
   KS_CHECK(!batch.requests.empty());
   batch.dispatch_seconds = now_;
 
-  // Run the real kernels immediately (wall time), on a request context
-  // with all observability sinks disabled: the request path itself emits
-  // nothing, the server publishes spans and metrics from the serial
-  // completion path. The batch's data-dependent virtual cost is read off
-  // the request context's private ledger.
+  // Run the real kernels immediately (wall time), on a request context,
+  // which carries no observability sinks: the server publishes spans and
+  // metrics from the serial completion path. The batch's data-dependent
+  // virtual cost is read off the request context's private ledger.
   std::vector<size_t> payloads;
   payloads.reserve(batch.requests.size());
   for (const ServeRequest& r : batch.requests) payloads.push_back(r.payload);
   auto request_ctx = ctx_.MakeRequestContext();
-  request_ctx->set_tracer(nullptr);
-  request_ctx->set_metrics(nullptr);
-  request_ctx->set_profile_store(nullptr);
-  request_ctx->set_timeline(nullptr);
-  request_ctx->set_telemetry(nullptr);
   Timer timer;
   double variable_seconds = 0.0;
   const AnyDataset out = tenant.pipeline.Apply(

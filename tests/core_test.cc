@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/executor.h"
+#include "src/core/physical_plan.h"
 #include "src/core/pipeline.h"
 #include "src/core/pipeline_graph.h"
 #include "src/data/dist_dataset.h"
 #include "src/obs/metrics.h"
+#include "src/obs/telemetry.h"
+#include "src/optimizer/operator_optimizer.h"
 #include "tests/test_operators.h"
 
 namespace keystone {
@@ -385,8 +390,16 @@ TEST(ExecContextTest, MakeRequestContextSharesEnvironmentNotLedger) {
   ctx.set_metrics(&metrics);
   ctx.ledger()->ChargeSeconds("Fit", 5.0);
 
+  obs::TelemetryHub telemetry;
+  ctx.set_telemetry(&telemetry);
+
   auto request_ctx = ctx.MakeRequestContext();
-  EXPECT_EQ(request_ctx->metrics(), &metrics);
+  // The request path emits nothing itself: no sink is carried over.
+  EXPECT_EQ(request_ctx->tracer(), nullptr);
+  EXPECT_EQ(request_ctx->metrics(), nullptr);
+  EXPECT_EQ(request_ctx->profile_store(), nullptr);
+  EXPECT_EQ(request_ctx->timeline(), nullptr);
+  EXPECT_EQ(request_ctx->telemetry(), nullptr);
   EXPECT_EQ(request_ctx->pool(), ctx.pool());
   EXPECT_EQ(request_ctx->resources().num_nodes, ctx.resources().num_nodes);
   // Fresh per-run state: the parent's charges do not leak in, and the
@@ -394,6 +407,149 @@ TEST(ExecContextTest, MakeRequestContextSharesEnvironmentNotLedger) {
   EXPECT_DOUBLE_EQ(request_ctx->ledger()->TotalSeconds(), 0.0);
   request_ctx->ledger()->ChargeSeconds("Serve", 1.5);
   EXPECT_DOUBLE_EQ(ctx.ledger()->TotalSeconds(), 5.0);
+}
+
+/// Declared cost, scratch footprint and weight of a test physical option.
+struct OptionSpec {
+  std::string name;
+  double flops = 0.0;
+  double scratch_bytes = 0.0;
+  int weight = 1;
+};
+
+/// `Op` with its name, cost model, scratch footprint and weight replaced
+/// by `spec`, so the options of one logical operator differ on each.
+template <typename Op>
+class SpecOption : public Op {
+ public:
+  template <typename... Args>
+  explicit SpecOption(OptionSpec spec, Args&&... args)
+      : Op(std::forward<Args>(args)...), spec_(std::move(spec)) {}
+
+  std::string Name() const override { return spec_.name; }
+  CostProfile EstimateCost(const DataStats& in, int workers) const override {
+    (void)in;
+    (void)workers;
+    return CostProfile(spec_.flops, 0, 0);
+  }
+  double ScratchMemoryBytes(const DataStats& in, int workers) const override {
+    (void)in;
+    (void)workers;
+    return spec_.scratch_bytes;
+  }
+  int Weight() const override { return spec_.weight; }
+
+ private:
+  OptionSpec spec_;
+};
+
+TEST(PhysicalPlanTest, ChosenOptionRebindsEveryNodeSharingTheOperator) {
+  // An optimizable transformer feeding an optimizable estimator. On the
+  // test cluster (122 GB per node) every option fits, so the cheapest
+  // wins; with 0.5 GB per node none does, and the smallest footprint wins.
+  const std::vector<std::shared_ptr<TransformerBase>> scales = {
+      std::make_shared<SpecOption<Scale>>(
+          OptionSpec{"ScaleDefault", 1e10, 80e9, 1}, 2.0),
+      std::make_shared<SpecOption<Scale>>(
+          OptionSpec{"ScaleFast", 1e9, 100e9, 2}, 2.0),
+      std::make_shared<SpecOption<Scale>>(
+          OptionSpec{"ScaleLean", 1e12, 1e9, 3}, 2.0),
+  };
+  const std::vector<std::shared_ptr<EstimatorBase>> centerers = {
+      std::make_shared<SpecOption<MeanCenterer>>(
+          OptionSpec{"CenterSlow", 1e12, 2e9, 4}),
+      std::make_shared<SpecOption<MeanCenterer>>(
+          OptionSpec{"CenterFast", 1e9, 3e9, 5}),
+  };
+  auto scale = std::make_shared<OptimizableTransformer>("Scale", scales);
+  auto center =
+      std::make_shared<OptimizableEstimator>("Centerer", centerers);
+  // The logical operators answer as they always have: the default option's
+  // cost, no scratch of their own, and only the estimator forwards Weight.
+  DataStats stats;
+  stats.num_records = 1000;
+  stats.dim = 1;
+  EXPECT_EQ(scale->EstimateCost(stats, 4).flops, 1e10);
+  EXPECT_EQ(scale->ScratchMemoryBytes(stats, 4), 0.0);
+  EXPECT_EQ(scale->Weight(), 1);
+  EXPECT_EQ(center->Weight(), 4);
+
+  const auto pipe =
+      PipelineInput<double>()
+          .AndThenLogical<double>(scale)
+          .AndThenLogicalEstimator<double>(
+              center, Doubles({1, 2, 3, 4, 5, 6, 7, 8}, 4), nullptr);
+  PhysicalPlan plan =
+      LowerToPhysical(std::make_shared<PipelineGraph>(*pipe.graph()),
+                      pipe.source(), pipe.sink(), OptimizationConfig::Full(),
+                      TestCluster());
+  std::vector<int> scale_nodes;
+  int center_node = -1;
+  for (const PlannedNode& pn : plan.nodes) {
+    const OperatorBase* op = plan.graph->node(pn.id).op();
+    if (op == scale.get()) scale_nodes.push_back(pn.id);
+    if (op == center.get()) center_node = pn.id;
+    if (op == nullptr) {
+      EXPECT_EQ(plan.NumOptions(pn.id), 0) << "node " << pn.id;
+    }
+  }
+  // The train copy and the runtime copy carry the one Scale instance.
+  ASSERT_EQ(scale_nodes.size(), 2u);
+  EXPECT_TRUE(plan.nodes[scale_nodes[0]].runtime);
+  EXPECT_TRUE(plan.nodes[scale_nodes[1]].train);
+  ASSERT_GE(center_node, 0);
+  EXPECT_EQ(plan.NumOptions(scale_nodes[0]), 3);
+  EXPECT_EQ(plan.NumOptions(center_node), 2);
+
+  const auto expect_scale = [&](size_t option) {
+    for (int id : scale_nodes) {
+      const PlannedNode& pn = plan.nodes[id];
+      EXPECT_TRUE(pn.optimizable) << "node " << id;
+      EXPECT_EQ(pn.physical_name, scales[option]->Name()) << "node " << id;
+      EXPECT_EQ(pn.weight, scales[option]->Weight()) << "node " << id;
+      EXPECT_EQ(pn.physical_transformer, scales[option]) << "node " << id;
+      EXPECT_EQ(pn.physical_estimator, nullptr) << "node " << id;
+    }
+  };
+  const auto expect_center = [&](size_t option) {
+    const PlannedNode& pn = plan.nodes[center_node];
+    EXPECT_TRUE(pn.optimizable);
+    EXPECT_EQ(pn.physical_name, centerers[option]->Name());
+    EXPECT_EQ(pn.weight, centerers[option]->Weight());
+    EXPECT_EQ(pn.physical_estimator, centerers[option]);
+    EXPECT_EQ(pn.physical_transformer, nullptr);
+  };
+  // Lowering resolves the default options.
+  expect_scale(0);
+  expect_center(0);
+
+  // Everything fits: the cheapest option of each kind wins.
+  const PhysicalChoice fast = ChooseOption(*scale, stats, TestCluster());
+  EXPECT_EQ(fast.option_index, 1);
+  EXPECT_TRUE(fast.feasible);
+  plan.SetChosenOption(scale_nodes[1], fast.option_index);
+  expect_scale(1);
+  expect_center(0);
+
+  const PhysicalChoice fit = ChooseOption(*center, stats, TestCluster());
+  EXPECT_EQ(fit.option_index, 1);
+  plan.SetChosenOption(center_node, fit.option_index);
+  expect_scale(1);
+  expect_center(1);
+
+  // Nothing fits: the smallest footprint wins, priced as it was scored.
+  ClusterResourceDescriptor small = TestCluster();
+  small.memory_per_node_gb = 0.5;
+  const PhysicalChoice lean = ChooseOption(*scale, stats, small);
+  EXPECT_EQ(lean.option_index, 2);
+  EXPECT_FALSE(lean.feasible);
+  for (const obs::OptionScore& score : lean.scored) {
+    EXPECT_FALSE(score.feasible) << score.name;
+  }
+  EXPECT_EQ(lean.estimated_seconds, lean.scored[2].estimated_seconds);
+  plan.SetChosenOption(scale_nodes[0], lean.option_index);
+  expect_scale(2);
+  expect_center(1);
 }
 
 }  // namespace

@@ -487,17 +487,63 @@ TEST(OptimizerHistoryTest, ObservedHistoryCorrectsSelection) {
   stats.dim = 16;
   const auto& cluster = TestCluster();
 
-  const auto model_choice = ChooseEstimatorOption(logical, stats, cluster);
+  const auto model_choice = ChooseOption(logical, stats, cluster);
   EXPECT_EQ(model_choice.option_index, 0);
   EXPECT_EQ(model_choice.history_corrected, 0);
 
   obs::ProfileStore history;
   history.RecordObservation("fast-est", stats, CostProfile(1e9, 0, 0, 0),
                             CostProfile(1e14, 0, 0, 0), 0.5);
-  const auto corrected =
-      ChooseEstimatorOption(logical, stats, cluster, &history);
+  const auto corrected = ChooseOption(logical, stats, cluster, &history);
   EXPECT_EQ(corrected.option_index, 1);
   EXPECT_EQ(corrected.history_corrected, 1);
+}
+
+/// ReportingEstimator with a declared scratch-memory footprint.
+class ScratchEstimator : public ReportingEstimator {
+ public:
+  ScratchEstimator(std::string name, CostProfile predicted,
+                   double scratch_bytes)
+      : ReportingEstimator(std::move(name), predicted, CostProfile()),
+        scratch_bytes_(scratch_bytes) {}
+
+  double ScratchMemoryBytes(const DataStats& in, int workers) const override {
+    (void)in;
+    (void)workers;
+    return scratch_bytes_;
+  }
+
+ private:
+  double scratch_bytes_;
+};
+
+TEST(OptimizerHistoryTest, InfeasibleFallbackKeepsTheHistoryCorrectedPrice) {
+  // Neither option fits in a node's 122 GB, so the smaller footprint wins.
+  // The store corrects that option's price, and the choice must carry the
+  // price it was scored at (the decision log's chosen_seconds), not the
+  // cost model's.
+  auto big = std::make_shared<ScratchEstimator>(
+      "big-est", CostProfile(1e9, 0, 0, 0), 500e9);
+  auto small = std::make_shared<ScratchEstimator>(
+      "small-est", CostProfile(1e9, 0, 0, 0), 200e9);
+  OptimizableEstimator logical("solver", {big, small});
+
+  DataStats stats;
+  stats.num_records = 1000;
+  stats.dim = 16;
+  const auto& cluster = TestCluster();
+  obs::ProfileStore history;
+  history.RecordObservation("small-est", stats, CostProfile(1e9, 0, 0, 0),
+                            CostProfile(1e14, 0, 0, 0), 0.5);
+
+  const auto choice = ChooseOption(logical, stats, cluster, &history);
+  EXPECT_FALSE(choice.feasible);
+  ASSERT_EQ(choice.option_index, 1);
+  EXPECT_EQ(choice.history_corrected, 1);
+  ASSERT_TRUE(choice.scored[1].from_history);
+  EXPECT_EQ(choice.estimated_seconds, choice.scored[1].estimated_seconds);
+  EXPECT_GT(choice.estimated_seconds,
+            cluster.SecondsFor(small->EstimateCost(stats, cluster.num_nodes)));
 }
 
 TEST(ProfileStoreTest, OptimizerConsumesStoredProfilesInsteadOfResampling) {

@@ -525,7 +525,7 @@ TEST(SolverCostModelTest, SparseTextFavorsLbfgs) {
   LinearSolverConfig config;
   config.num_classes = 2;
   auto logical = MakeSparseLinearSolver(config);
-  const auto choice = ChooseEstimatorOption(*logical, stats, cluster);
+  const auto choice = ChooseOption(*logical, stats, cluster);
   EXPECT_EQ(logical->options()[choice.option_index]->Name(),
             "SparseLbfgsSolver");
 }
@@ -557,7 +557,7 @@ TEST(SolverCostModelTest, DenseCrossoverExactThenBlock) {
     stats.dim = d;
     stats.avg_nnz = d;
     stats.bytes_per_record = d * 8.0;
-    const auto choice = ChooseEstimatorOption(*logical, stats, cluster);
+    const auto choice = ChooseOption(*logical, stats, cluster);
     return logical->options()[choice.option_index]->Name();
   };
   EXPECT_EQ(choose(1024), "DistributedExactSolver");
@@ -579,7 +579,7 @@ TEST(SolverCostModelTest, BinaryDenseFavorsLbfgsAtMidSizes) {
     stats.dim = d;
     stats.avg_nnz = d;
     stats.bytes_per_record = d * 8.0;
-    const auto choice = ChooseEstimatorOption(*logical, stats, cluster);
+    const auto choice = ChooseOption(*logical, stats, cluster);
     return logical->options()[choice.option_index]->Name();
   };
   EXPECT_EQ(choose(1024), "DistributedExactSolver");
