@@ -9,8 +9,10 @@
 /// in (the dense kernels, the shared SYRK tile and the CSR Gram,
 /// SparseMatrix::Gram, all in src/linalg), the per-record linear models
 /// the apply and serving paths run (LinearMapModel::Apply and
-/// SparseLinearMapModel::Apply, in src/solvers), and the GMM E and M steps
-/// and Fisher encoder (src/ops/gmm.cc).
+/// SparseLinearMapModel::Apply, in src/solvers), the GMM E and M steps
+/// and Fisher encoder (src/ops/gmm.cc), and the dense SIFT kernel that
+/// most ImageNet apply and serving time goes to (DenseSift::Apply, in
+/// src/ops/image_ops.cc).
 #define KS_KERNEL_ALIGN __attribute__((aligned(64)))
 
 #endif  // KEYSTONE_COMMON_KERNEL_ALIGN_H_

@@ -96,15 +96,32 @@ class TransformerBase : public OperatorBase {
   virtual AnyDataset ApplyAny(const std::vector<AnyDataset>& inputs,
                               ExecContext* ctx) const = 0;
 
-  /// Whether ApplyChunk is implemented. Row-wise Transformer<A, B>
-  /// subclasses get it for free; operators with a bespoke ApplyAny (gather,
-  /// whole-dataset kernels) stay on the whole-dataset path, and the
-  /// FusionPass refuses to put them inside a fused region.
+  /// Whether ApplySlice and ApplyChunk are implemented. Row-wise
+  /// Transformer<A, B> subclasses get them for free; operators with a
+  /// bespoke ApplyAny (gather, whole-dataset kernels) stay on the
+  /// whole-dataset path, and the FusionPass refuses to put them inside a
+  /// fused region.
   virtual bool SupportsChunkedApply() const { return false; }
 
-  /// Batched apply over one cache-resident chunk, producing the output
-  /// chunk. Must agree record-for-record with ApplyAny; only called when
-  /// SupportsChunkedApply().
+  /// A fused region head's batched apply: reads records [begin, begin +
+  /// count) of partition `p` of `in` in place and produces the output chunk
+  /// (`count == 0` yields an empty, still correctly typed chunk — the type
+  /// witness for empty partitions). Must agree record-for-record with
+  /// ApplyAny; only called when SupportsChunkedApply().
+  virtual AnyChunk ApplySlice(const DatasetBase& in, size_t p, size_t begin,
+                              size_t count, ExecContext* ctx) const {
+    (void)in;
+    (void)p;
+    (void)begin;
+    (void)count;
+    (void)ctx;
+    KS_CHECK(false) << Name() << " does not support chunked apply";
+    return nullptr;
+  }
+
+  /// Batched apply over the chunk a fused region's previous member
+  /// produced, producing the output chunk. Must agree record-for-record with
+  /// ApplyAny; only called when SupportsChunkedApply().
   virtual AnyChunk ApplyChunk(const AnyChunk& in, ExecContext* ctx) const {
     (void)in;
     (void)ctx;
@@ -163,12 +180,31 @@ class Transformer : public TransformerBase {
 
   bool SupportsChunkedApply() const override { return true; }
 
+  AnyChunk ApplySlice(const DatasetBase& in, size_t p, size_t begin,
+                      size_t count, ExecContext* ctx) const override {
+    (void)ctx;
+    const DistDataset<A>& typed = DistDataset<A>::Cast(in);
+    KS_CHECK_LT(p, typed.NumPartitions());
+    const std::vector<A>& part = typed.partition(p);
+    KS_CHECK(begin + count <= part.size());
+    return ApplyRecords(part, begin, count);
+  }
+
   AnyChunk ApplyChunk(const AnyChunk& in, ExecContext* ctx) const override {
     (void)ctx;
-    const auto typed = Chunk<A>::Cast(in);
+    const std::vector<A>& records = Chunk<A>::Cast(in)->records();
+    return ApplyRecords(records, 0, records.size());
+  }
+
+ private:
+  /// The chunk of Apply over records[begin, begin + count).
+  AnyChunk ApplyRecords(const std::vector<A>& records, size_t begin,
+                        size_t count) const {
     std::vector<B> out;
-    out.reserve(typed->records().size());
-    for (const A& rec : typed->records()) out.push_back(Apply(rec));
+    out.reserve(count);
+    for (size_t i = begin; i < begin + count; ++i) {
+      out.push_back(Apply(records[i]));
+    }
     return std::make_shared<Chunk<B>>(std::move(out));
   }
 };
@@ -373,6 +409,10 @@ class OptimizableTransformer : public Optimizable<TransformerBase> {
   }
   bool SupportsChunkedApply() const override {
     return default_option().SupportsChunkedApply();
+  }
+  AnyChunk ApplySlice(const DatasetBase& in, size_t p, size_t begin,
+                      size_t count, ExecContext* ctx) const override {
+    return default_option().ApplySlice(in, p, begin, count, ctx);
   }
   AnyChunk ApplyChunk(const AnyChunk& in, ExecContext* ctx) const override {
     return default_option().ApplyChunk(in, ctx);

@@ -382,9 +382,10 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
   const size_t batch = std::max<size_t>(1, ctx_->exec_options().max_batch_size);
 
   // Stream chunks through the whole chain, one task per partition — the
-  // same parallel grain as unfused ApplyAny. Interior records never exist
-  // as a dataset: only their ElementStat triples are buffered (for the
-  // stats replay) while the tail's chunks are kept for reassembly.
+  // same parallel grain as unfused ApplyAny. The head reads its slice of
+  // the input in place; interior records never exist as a dataset: only
+  // their ElementStat triples are buffered (for the stats replay) while the
+  // tail's chunks are kept for reassembly.
   std::vector<std::vector<std::vector<ElementStat>>> interior_stats(
       k - 1, std::vector<std::vector<ElementStat>>(num_parts));
   std::vector<std::vector<AnyChunk>> tail_chunks(num_parts);
@@ -397,13 +398,13 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
     while (first || begin < psize) {
       first = false;
       const size_t count = std::min(batch, psize - begin);
-      AnyChunk chunk = input->ChunkOf(p, begin, count);
+      AnyChunk chunk = ops[0]->ApplySlice(*input, p, begin, count, ctx_);
       // Resident bytes counts the interior stages only — exactly the
       // intermediates the unfused style would materialize as datasets —
       // reusing the stat triples buffered for the replay.
       double resident = 0.0;
       for (size_t m = 0; m < k; ++m) {
-        chunk = ops[m]->ApplyChunk(chunk, ctx_);
+        if (m > 0) chunk = ops[m]->ApplyChunk(chunk, ctx_);
         if (m + 1 < k) {
           std::vector<ElementStat>& stats = interior_stats[m][p];
           for (size_t i = 0; i < chunk->size(); ++i) {

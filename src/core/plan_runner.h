@@ -129,14 +129,15 @@ class PlanRunner {
   void InvokeAndCharge(NodeOutcome* out, const DataStats& in_stats,
                        double scale, Invoke invoke);
 
-  /// Streams cache-resident chunks of the region head's input through every
-  /// member's ApplyChunk, materializing only the tail output (fit and apply
-  /// modes; ExecuteNode never calls it in the profile passes). Fills each
-  /// member's NodeOutcome so the flushed effects are byte-identical to
-  /// unfused whole-dataset execution. Returns false — leaving all outcomes
-  /// untouched — when the region cannot stream (no partitions to stream,
-  /// or an operator without chunked apply), in which case the caller
-  /// executes members node by node.
+  /// Streams cache-resident chunks through the region's members — the
+  /// head's ApplySlice reads its input in place, every later member's
+  /// ApplyChunk consumes its predecessor's chunk — materializing only the
+  /// tail output (fit and apply modes; ExecuteNode never calls it in the
+  /// profile passes). Fills each member's NodeOutcome so the flushed
+  /// effects are byte-identical to unfused whole-dataset execution.
+  /// Returns false — leaving all outcomes untouched — when the region
+  /// cannot stream (no partitions to stream, or an operator without chunked
+  /// apply), in which case the caller executes members node by node.
   bool TryExecuteFusedRegion(const FusedRegion& region);
 
   /// Virtual seconds to re-produce node `id`'s output during recovery:

@@ -1,6 +1,7 @@
 #ifndef KEYSTONE_DATA_DIST_DATASET_H_
 #define KEYSTONE_DATA_DIST_DATASET_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <typeindex>
@@ -26,10 +27,12 @@ struct ElementStat {
 
 class ChunkCollectorBase;
 
-/// A cache-resident slice of one partition: the unit of work of the chunked
-/// execution style. Chunks are typed underneath (Chunk<T>) and type-erased
-/// here so the PlanRunner can stream them through a fused operator chain
-/// without knowing the intermediate element types.
+/// A cache-resident run of records: the unit of work of the chunked
+/// execution style, produced by a fused region's head from a slice of one
+/// input partition and passed from member to member. Chunks are typed
+/// underneath (Chunk<T>) and type-erased here so the PlanRunner can stream
+/// them through a fused operator chain without knowing the intermediate
+/// element types.
 class ChunkBase {
  public:
   virtual ~ChunkBase() = default;
@@ -60,8 +63,9 @@ class ChunkCollectorBase {
 
 /// Type-erased handle to a partitioned dataset. The pipeline DAG and the
 /// optimizer work with DatasetBase; typed operators downcast via
-/// DistDataset<T>::Cast, checked with the element type index.
-class DatasetBase {
+/// DistDataset<T>::Cast, checked with the element type index. Datasets are
+/// immutable once built (only the virtual scale below is ever set).
+class DatasetBase : public std::enable_shared_from_this<DatasetBase> {
  public:
   virtual ~DatasetBase() = default;
 
@@ -75,7 +79,9 @@ class DatasetBase {
 
   /// A dataset holding the first `max_records` records (for execution
   /// subsampling, paper §4.1). Keeps the partition structure proportional.
-  /// The sample is a real dataset: its virtual scale is 1.
+  /// The sample is a real dataset: its virtual scale is 1. A sample that
+  /// would hold every record, at scale 1 and in this dataset's own
+  /// partition layout, is this dataset itself, so samples are read-only.
   virtual std::shared_ptr<DatasetBase> SamplePrefix(size_t max_records)
       const = 0;
 
@@ -85,11 +91,6 @@ class DatasetBase {
 
   /// Records in partition `p`.
   virtual size_t PartitionSize(size_t p) const = 0;
-
-  /// A chunk holding `count` records of partition `p` starting at `begin`
-  /// (`count == 0` yields an empty, still correctly typed chunk — the type
-  /// witness for empty partitions).
-  virtual AnyChunk ChunkOf(size_t p, size_t begin, size_t count) const = 0;
 
   /// Virtual record-count multiplier. Benchmarks reproduce paper-scale
   /// experiments by holding a laptop-scale dataset whose *statistics*
@@ -166,11 +167,17 @@ class DistDataset : public DatasetBase {
     return std::make_shared<DistDataset<T>>(std::move(parts));
   }
 
+  /// Downcasts a type-erased dataset, checking the element type.
+  static const DistDataset<T>& Cast(const DatasetBase& base) {
+    KS_CHECK(base.ElementType() == std::type_index(typeid(T)))
+        << "dataset element type mismatch";
+    return static_cast<const DistDataset<T>&>(base);
+  }
+
   /// Downcasts a type-erased handle, checking the element type.
   static std::shared_ptr<const DistDataset<T>> Cast(const AnyDataset& base) {
     KS_CHECK(base != nullptr);
-    KS_CHECK(base->ElementType() == std::type_index(typeid(T)))
-        << "dataset element type mismatch";
+    Cast(*base);
     return std::static_pointer_cast<const DistDataset<T>>(base);
   }
 
@@ -218,6 +225,14 @@ class DistDataset : public DatasetBase {
   }
 
   std::shared_ptr<DatasetBase> SamplePrefix(size_t max_records) const override {
+    if (NumRecords() <= max_records && virtual_scale_ == 1.0 &&
+        HasPartitionedLayout()) {
+      // Null only for a dataset no shared_ptr owns; it is then copied.
+      if (auto self = std::const_pointer_cast<DatasetBase>(
+              weak_from_this().lock())) {
+        return self;
+      }
+    }
     std::vector<T> sampled;
     sampled.reserve(std::min(max_records, NumRecords()));
     for (const auto& part : partitions_) {
@@ -235,14 +250,6 @@ class DistDataset : public DatasetBase {
   size_t PartitionSize(size_t p) const override {
     KS_CHECK_LT(p, partitions_.size());
     return partitions_[p].size();
-  }
-
-  AnyChunk ChunkOf(size_t p, size_t begin, size_t count) const override {
-    KS_CHECK_LT(p, partitions_.size());
-    const std::vector<T>& part = partitions_[p];
-    KS_CHECK(begin + count <= part.size());
-    std::vector<T> records(part.begin() + begin, part.begin() + begin + count);
-    return std::make_shared<Chunk<T>>(std::move(records));
   }
 
   const std::vector<std::vector<T>>& partitions() const { return partitions_; }
@@ -271,6 +278,18 @@ class DistDataset : public DatasetBase {
   }
 
  private:
+  /// Whether the partitions have the sizes Partitioned gives NumRecords()
+  /// records split as SamplePrefix would split them.
+  bool HasPartitionedLayout() const {
+    const size_t n = NumRecords();
+    const size_t parts = std::max<size_t>(1, std::min(partitions_.size(), n));
+    if (partitions_.size() != parts) return false;
+    for (size_t p = 0; p < parts; ++p) {
+      if (partitions_[p].size() != n / parts + (p < n % parts)) return false;
+    }
+    return true;
+  }
+
   std::vector<std::vector<T>> partitions_;
 };
 

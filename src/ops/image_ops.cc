@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/kernel_align.h"
 #include "src/linalg/eigen.h"
 #include "src/linalg/gemm.h"
 
@@ -63,7 +64,7 @@ CostProfile PatchExtractor::EstimateCost(const DataStats& in,
   return cost;
 }
 
-Matrix DenseSift::Apply(const Image& img) const {
+KS_KERNEL_ALIGN Matrix DenseSift::Apply(const Image& img) const {
   // Gradient field of a grayscale image; a one-channel input is read in
   // place.
   if (img.channels != 1) return DenseSift::Apply(GrayScaler().Apply(img));
@@ -86,10 +87,7 @@ Matrix DenseSift::Apply(const Image& img) const {
       const double gx = img.at(0, y, x + 1) - img.at(0, y, x - 1);
       const double gy = img.at(0, y + 1, x) - img.at(0, y - 1, x);
       const double mag = std::sqrt(gx * gx + gy * gy);
-      double angle = std::atan2(gy, gx);  // [-pi, pi]
-      const double unit = (angle + M_PI) / (2.0 * M_PI);  // [0, 1]
-      size_t bin = std::min(bins_ - 1,
-                            static_cast<size_t>(unit * bins_));
+      const size_t bin = OrientationBin(gx, gy, bins_);
       const size_t cy = std::min(cells_y - 1, y / cell_size_);
       const size_t cx = std::min(cells_x - 1, x / cell_size_);
       cell_hist(cy * cells_x + cx, bin) += mag;

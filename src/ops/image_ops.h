@@ -1,6 +1,8 @@
 #ifndef KEYSTONE_OPS_IMAGE_OPS_H_
 #define KEYSTONE_OPS_IMAGE_OPS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +30,9 @@ class GrayScaler : public Transformer<Image, Image> {
 class PatchExtractor : public Transformer<Image, Matrix> {
  public:
   PatchExtractor(size_t patch_size, size_t stride)
-      : patch_size_(patch_size), stride_(stride) {}
+      : patch_size_(patch_size), stride_(stride) {
+    KS_CHECK_GT(stride_, 0u);
+  }
 
   std::string Name() const override { return "PatchExtractor"; }
   std::string ParamSignature() const override {
@@ -55,6 +59,37 @@ class PatchExtractor : public Transformer<Image, Matrix> {
   size_t stride_;
 };
 
+/// The orientation bin of gradient (gx, gy) among `bins` equal sectors of
+/// [-pi, pi]: min(bins - 1, floor((atan2(gy, gx) + pi) / (2 pi) * bins)).
+/// With 8 bins each bin is one octant, so the bin follows from the signs of
+/// gx and gy and from whether |gy| > |gx|, without the atan2. That agrees
+/// with the formula exactly: atan2's error of at most 1 ulp and the
+/// formula's roundings move the bin position by about 1e-14, while a
+/// gradient that passes the 2^-40 relative guard below lies at least about
+/// 4.5e-13 rad from every octant edge. Zeros, ties, near-axis and
+/// near-diagonal gradients, NaN and infinities fail the guard and take the
+/// formula, as does every other bin count.
+inline size_t OrientationBin(double gx, double gy, size_t bins) {
+  if (bins == 8) {
+    const double ax = std::fabs(gx);
+    const double ay = std::fabs(gy);
+    const double lo = std::min(ax, ay);
+    const double hi = std::max(ax, ay);
+    const double guard = hi * 0x1p-40;
+    // A NaN or infinite gradient fails one of the comparisons.
+    if (lo > guard && hi - lo > guard) {
+      // Octants 0-3 lie below the x axis and 4-7 above it. Where gx and gy
+      // have the same sign the steep octant (|gy| > |gx|) is the later of
+      // the quadrant's two, elsewhere the earlier.
+      const size_t upper = gy > 0.0;
+      const size_t steep = ay > ax;
+      return 4 * upper + (upper == (gx > 0.0) ? steep : 3 - steep);
+    }
+  }
+  const double unit = (std::atan2(gy, gx) + M_PI) / (2.0 * M_PI);  // [0, 1]
+  return std::min(bins - 1, static_cast<size_t>(unit * bins));
+}
+
 /// Dense SIFT-like descriptors: the image is divided into cells; each cell
 /// yields a histogram of gradient orientations over `bins` bins, normalized.
 /// A simplified stand-in for SIFT [Lowe 99] with the same output shape
@@ -62,7 +97,10 @@ class PatchExtractor : public Transformer<Image, Matrix> {
 class DenseSift : public Transformer<Image, Matrix> {
  public:
   DenseSift(size_t cell_size, size_t bins)
-      : cell_size_(cell_size), bins_(bins) {}
+      : cell_size_(cell_size), bins_(bins) {
+    KS_CHECK_GT(cell_size_, 0u);
+    KS_CHECK_GT(bins_, 0u);
+  }
 
   std::string Name() const override { return "SIFT"; }
   std::string ParamSignature() const override {
@@ -88,7 +126,9 @@ class DenseSift : public Transformer<Image, Matrix> {
 /// channel (the LCS featurizer of the ImageNet pipeline).
 class LocalColorStats : public Transformer<Image, Matrix> {
  public:
-  explicit LocalColorStats(size_t cell_size) : cell_size_(cell_size) {}
+  explicit LocalColorStats(size_t cell_size) : cell_size_(cell_size) {
+    KS_CHECK_GT(cell_size_, 0u);
+  }
 
   std::string Name() const override { return "LCS"; }
   std::string ParamSignature() const override {
@@ -111,7 +151,9 @@ class LocalColorStats : public Transformer<Image, Matrix> {
 /// nodes, which thin descriptor sets before fitting PCA/GMM.
 class DescriptorSampler : public Transformer<Matrix, Matrix> {
  public:
-  explicit DescriptorSampler(size_t stride) : stride_(stride) {}
+  explicit DescriptorSampler(size_t stride) : stride_(stride) {
+    KS_CHECK_GT(stride_, 0u);
+  }
   std::string Name() const override { return "ColumnSampler"; }
   std::string ParamSignature() const override {
     return std::to_string(stride_);
@@ -148,7 +190,7 @@ class SymmetricRectifier : public Transformer<std::vector<double>,
 /// rows are in row-major cell order, and concatenates pooled blocks.
 class Pooler : public Transformer<Matrix, std::vector<double>> {
  public:
-  explicit Pooler(size_t grid) : grid_(grid) {}
+  explicit Pooler(size_t grid) : grid_(grid) { KS_CHECK_GT(grid_, 0u); }
   std::string Name() const override { return "Pooler"; }
   std::string ParamSignature() const override { return std::to_string(grid_); }
   std::vector<double> Apply(const Matrix& features) const override;

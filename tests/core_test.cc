@@ -48,6 +48,37 @@ TEST(DistDatasetTest, SamplePrefix) {
   EXPECT_EQ(typed->Collect(), (std::vector<double>{1, 2, 3}));
 }
 
+TEST(DistDatasetTest, SampleCoveringTheDatasetIsTheDataset) {
+  auto ds = Doubles({1, 2, 3, 4, 5, 6, 7, 8}, 4);
+  EXPECT_EQ(ds->SamplePrefix(8), ds);
+  EXPECT_EQ(ds->SamplePrefix(100), ds);
+  // A scaled dataset: a copy of the same records at virtual scale 1.
+  ds->set_virtual_scale(10.0);
+  const auto scaled = ds->SamplePrefix(8);
+  EXPECT_NE(scaled, ds);
+  EXPECT_EQ(scaled->virtual_scale(), 1.0);
+  EXPECT_EQ(DistDataset<double>::Cast(scaled)->partitions(), ds->partitions());
+  // Layouts Partitioned would not give, one with an empty partition: copies
+  // re-partitioned as Partitioned splits them.
+  using Parts = std::vector<std::vector<double>>;
+  const auto uneven =
+      std::make_shared<DistDataset<double>>(Parts{{1, 2, 3}, {4}});
+  const auto resplit = uneven->SamplePrefix(4);
+  EXPECT_NE(resplit, uneven);
+  EXPECT_EQ(DistDataset<double>::Cast(resplit)->partitions(),
+            (Parts{{1, 2}, {3, 4}}));
+  const auto gappy =
+      std::make_shared<DistDataset<double>>(Parts{{1}, {}, {2}});
+  EXPECT_EQ(DistDataset<double>::Cast(gappy->SamplePrefix(2))->partitions(),
+            (Parts{{1}, {2}}));
+  // A dataset no shared_ptr owns is copied.
+  const DistDataset<double> unowned(Parts{{1, 2}});
+  const auto copy = unowned.SamplePrefix(2);
+  EXPECT_NE(copy.get(), &unowned);
+  EXPECT_EQ(DistDataset<double>::Cast(copy)->partitions(),
+            unowned.partitions());
+}
+
 TEST(DistDatasetTest, StatsForDenseVectors) {
   std::vector<std::vector<double>> recs = {{1, 0, 3}, {0, 0, 0}, {1, 1, 1}};
   auto ds = MakeDataset(std::move(recs), 2);

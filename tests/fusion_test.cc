@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,23 +38,45 @@ ClusterResourceDescriptor TestCluster() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk interface: slicing, edge cases, reassembly.
+// Chunk interface: head slices, edge cases, reassembly.
 // ---------------------------------------------------------------------------
 
-TEST(ChunkTest, ChunkOfSlicesPartitions) {
+TEST(ChunkTest, ApplySliceSlicesPartitions) {
   auto data = Doubles({1, 2, 3, 4, 5, 6, 7}, 2);  // parts of 4 and 3
   EXPECT_EQ(data->PartitionSize(0), 4u);
   EXPECT_EQ(data->PartitionSize(1), 3u);
-  const AnyChunk chunk = data->ChunkOf(0, 1, 2);
+  const Scale identity(1.0);
+  ExecContext ctx(TestCluster());
+  const AnyChunk chunk = identity.ApplySlice(*data, 0, 1, 2, &ctx);
   ASSERT_NE(chunk, nullptr);
   EXPECT_EQ(chunk->size(), 2u);
   const auto typed = Chunk<double>::Cast(chunk);
   EXPECT_EQ(typed->records(), (std::vector<double>{2, 3}));
+  // A slice may end at its partition's last record.
+  EXPECT_EQ(Chunk<double>::Cast(identity.ApplySlice(*data, 1, 2, 1, &ctx))
+                ->records(),
+            (std::vector<double>{7}));
+}
+
+TEST(ChunkDeathTest, ApplySliceChecksBoundsAndType) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto data = Doubles({1, 2, 3, 4, 5, 6, 7}, 2);
+  const Scale identity(1.0);
+  ExecContext ctx(TestCluster());
+  EXPECT_DEATH(identity.ApplySlice(*data, 1, 2, 2, &ctx), "begin \\+ count");
+  EXPECT_DEATH(identity.ApplySlice(*data, 2, 0, 0, &ctx), "NumPartitions");
+  const auto strings = DistDataset<std::string>::Partitioned({"a"}, 1);
+  EXPECT_DEATH(identity.ApplySlice(*strings, 0, 0, 1, &ctx),
+               "element type mismatch");
 }
 
 TEST(ChunkTest, EmptyChunkIsTyped) {
-  auto data = Doubles({1, 2}, 1);
-  const AnyChunk empty = data->ChunkOf(0, 0, 0);
+  // Partition 0 is empty.
+  auto data = std::make_shared<DistDataset<double>>(
+      std::vector<std::vector<double>>{{}, {1, 2}});
+  const Scale identity(1.0);
+  ExecContext ctx(TestCluster());
+  const AnyChunk empty = identity.ApplySlice(*data, 0, 0, 0, &ctx);
   ASSERT_NE(empty, nullptr);
   EXPECT_EQ(empty->size(), 0u);
   EXPECT_EQ(empty->ElementType(), data->ElementType());
@@ -69,13 +93,17 @@ TEST(ChunkTest, EmptyChunkIsTyped) {
 
 TEST(ChunkTest, CollectorReassemblesNonDivisibleChunks) {
   auto data = Doubles({1, 2, 3, 4, 5, 6, 7}, 2);
-  auto collector = data->ChunkOf(0, 0, 0)->MakeCollector();
+  const Scale identity(1.0);
+  ExecContext ctx(TestCluster());
+  auto collector = identity.ApplySlice(*data, 0, 0, 0, &ctx)->MakeCollector();
   collector->Resize(data->NumPartitions());
   // Stream batch-size-3 chunks: partition 0 splits 3+1, partition 1 as 3.
   for (size_t p = 0; p < data->NumPartitions(); ++p) {
     const size_t psize = data->PartitionSize(p);
     for (size_t begin = 0; begin < psize; begin += 3) {
-      collector->Append(p, data->ChunkOf(p, begin, std::min<size_t>(3, psize - begin)));
+      collector->Append(
+          p, identity.ApplySlice(*data, p, begin,
+                                 std::min<size_t>(3, psize - begin), &ctx));
     }
   }
   const auto out = DistDataset<double>::Cast(collector->Finish());
@@ -87,9 +115,13 @@ TEST(ChunkTest, ApplyChunkMatchesApply) {
   ASSERT_TRUE(times3.SupportsChunkedApply());
   auto data = Doubles({1, 2, 3}, 1);
   ExecContext ctx(TestCluster());
-  const AnyChunk out = times3.ApplyChunk(data->ChunkOf(0, 0, 3), &ctx);
+  // The head entry reads the partition in place ...
+  const AnyChunk out = times3.ApplySlice(*data, 0, 0, 3, &ctx);
   EXPECT_EQ(Chunk<double>::Cast(out)->records(),
             (std::vector<double>{3, 6, 9}));
+  // ... and a later member consumes its predecessor's chunk.
+  EXPECT_EQ(Chunk<double>::Cast(times3.ApplyChunk(out, &ctx))->records(),
+            (std::vector<double>{9, 18, 27}));
   // Stats triples come straight from the element traits.
   const ElementStat stat = out->StatOf(1);
   EXPECT_EQ(stat.bytes, sizeof(double));
@@ -317,6 +349,83 @@ TEST(FusedExecutionTest, EmptyDatasetStreamsToEmptyOutput) {
   const auto out = fitted.Apply(empty, executor.context());
   EXPECT_EQ(out->NumRecords(), 0u);
   EXPECT_EQ(out->NumPartitions(), 2u);
+}
+
+/// A record that counts how often it is copied (moves are free).
+struct CountedRecord {
+  static inline std::atomic<int> copies{0};
+
+  explicit CountedRecord(double v) : value(v) {}
+  CountedRecord(const CountedRecord& other) : value(other.value) { ++copies; }
+  CountedRecord(CountedRecord&&) = default;
+  CountedRecord& operator=(const CountedRecord& other) {
+    value = other.value;
+    ++copies;
+    return *this;
+  }
+  CountedRecord& operator=(CountedRecord&&) = default;
+
+  double value;
+};
+
+double ElementBytes(const CountedRecord&) { return sizeof(double); }
+size_t ElementDim(const CountedRecord&) { return 1; }
+double ElementNnz(const CountedRecord& r) { return r.value != 0.0; }
+ValueShape ShapeOfElement(const CountedRecord&) { return ValueShape::Scalar(); }
+
+class ReadValue : public Transformer<CountedRecord, double> {
+ public:
+  std::string Name() const override { return "ReadValue"; }
+  double Apply(const CountedRecord& r) const override { return r.value; }
+};
+
+std::shared_ptr<DistDataset<CountedRecord>> CountedRecords(size_t n) {
+  std::vector<CountedRecord> records;
+  for (size_t i = 0; i < n; ++i) records.emplace_back(1.0 + i);
+  return DistDataset<CountedRecord>::Partitioned(std::move(records), 4);
+}
+
+TEST(FusedExecutionTest, RegionHeadsReadTheirInputInPlace) {
+  // ReadValue heads a fused region on the train path and on the runtime
+  // path. A head reads its input partition's records where they are, so
+  // neither the fit nor the apply copies one; the sampling passes read the
+  // 8 training records in place too, since a sample covering its source is
+  // the source.
+  auto pipe = PipelineInput<CountedRecord>()
+                  .AndThen(std::make_shared<ReadValue>())
+                  .AndThen(std::make_shared<Scale>(2.0))
+                  .AndThen(std::make_shared<AddConst>(1.0))
+                  .AndThen(std::make_shared<MeanCenterer>(),
+                           CountedRecords(8));
+  const auto test = CountedRecords(6);
+  std::vector<double> outputs[2];
+  for (int fused = 0; fused < 2; ++fused) {
+    SCOPED_TRACE(fused ? "fused" : "unfused");
+    ExecOptions opts;
+    opts.max_batch_size = 1;  // one chunk per record
+    PipelineExecutor executor(TestCluster(),
+                              fused ? OptimizationConfig::Full()
+                                    : Unfused(OptimizationConfig::Full()));
+    executor.context()->set_exec_options(opts);
+    CountedRecord::copies = 0;
+    auto fitted = executor.Fit(pipe);
+    EXPECT_EQ(CountedRecord::copies.load(), 0) << "fit";
+
+    const PhysicalPlan& plan = fitted.impl().plan();
+    int heads_on_records = 0;
+    for (const FusedRegion& region : plan.fused_regions) {
+      const PlannedNode& head = plan.nodes[region.nodes.front()];
+      heads_on_records += head.name == "ReadValue";
+    }
+    EXPECT_EQ(heads_on_records, fused ? 2 : 0);
+
+    CountedRecord::copies = 0;
+    outputs[fused] = fitted.Apply(test, executor.context())->Collect();
+    EXPECT_EQ(CountedRecord::copies.load(), 0) << "apply";
+  }
+  // 2x + 1 centered on the training mean 2 * 4.5 + 1.
+  EXPECT_EQ(outputs[1], (std::vector<double>{-7, -5, -3, -1, 1, 3}));
+  EXPECT_EQ(outputs[0], outputs[1]);
 }
 
 TEST(FusedExecutionTest, ShippedWorkloadsByteIdentical) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/ops/metrics.h"
 #include "src/ops/pca.h"
 #include "src/ops/text_ops.h"
+#include "src/workloads/datasets.h"
 
 namespace keystone {
 namespace {
@@ -184,6 +186,18 @@ TEST(ImageOpsTest, ZcaWhitensCovarianceTowardIdentity) {
   EXPECT_NEAR(cov(0, 0), 1.0, 0.1);
   EXPECT_NEAR(cov(1, 1), 1.0, 0.1);
   EXPECT_NEAR(cov(0, 1), 0.0, 0.1);
+}
+
+TEST(ImageOpsDeathTest, ZeroSizesAbortAtConstruction) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Each would divide by zero, or index past a buffer through bins - 1 or
+  // grid - 1, on its first record.
+  EXPECT_DEATH((void)DenseSift(0, 8), "cell_size_");
+  EXPECT_DEATH((void)DenseSift(8, 0), "bins_");
+  EXPECT_DEATH((void)LocalColorStats(0), "cell_size_");
+  EXPECT_DEATH((void)PatchExtractor(4, 0), "stride_");
+  EXPECT_DEATH((void)DescriptorSampler(0), "stride_");
+  EXPECT_DEATH((void)Pooler(0), "grid_");
 }
 
 // --- Convolution ------------------------------------------------------------
@@ -679,6 +693,204 @@ TEST(GmmKernelTest, EstimatorFitIsPoolSizeInvariant) {
   EXPECT_EQ(costs[0].bytes, costs[1].bytes);
   EXPECT_EQ(costs[0].network, costs[1].network);
   EXPECT_EQ(costs[0].rounds, costs[1].rounds);
+}
+
+// --- Dense SIFT: octant binning, bit identity with the atan2 kernel ---------
+
+// The atan2-binned kernel the octant binning replaced, kept verbatim as the
+// bit-identity reference.
+size_t ReferenceBin(double gx, double gy, size_t bins_) {
+  double angle = std::atan2(gy, gx);  // [-pi, pi]
+  const double unit = (angle + M_PI) / (2.0 * M_PI);  // [0, 1]
+  size_t bin = std::min(bins_ - 1,
+                        static_cast<size_t>(unit * bins_));
+  return bin;
+}
+
+Matrix ReferenceDenseSift(const Image& img, size_t cell_size_, size_t bins_) {
+  // Gradient field of a grayscale image; a one-channel input is read in
+  // place.
+  if (img.channels != 1) {
+    return ReferenceDenseSift(GrayScaler().Apply(img), cell_size_, bins_);
+  }
+  const size_t descriptor_dim = 4 * bins_;
+  const size_t h = img.height;
+  const size_t w = img.width;
+  const size_t cells_y = h / cell_size_;
+  const size_t cells_x = w / cell_size_;
+  KS_CHECK_GT(cells_y, 0u);
+  KS_CHECK_GT(cells_x, 0u);
+
+  // Each descriptor aggregates a 2x2 neighborhood of cells (hence 4 * bins
+  // dimensions), mimicking SIFT's spatial binning at reduced scale.
+  const size_t desc_y = cells_y > 1 ? cells_y - 1 : 1;
+  const size_t desc_x = cells_x > 1 ? cells_x - 1 : 1;
+
+  // Per-cell orientation histograms.
+  Matrix cell_hist(cells_y * cells_x, bins_);
+  for (size_t y = 1; y + 1 < h; ++y) {
+    for (size_t x = 1; x + 1 < w; ++x) {
+      const double gx = img.at(0, y, x + 1) - img.at(0, y, x - 1);
+      const double gy = img.at(0, y + 1, x) - img.at(0, y - 1, x);
+      const double mag = std::sqrt(gx * gx + gy * gy);
+      double angle = std::atan2(gy, gx);  // [-pi, pi]
+      const double unit = (angle + M_PI) / (2.0 * M_PI);  // [0, 1]
+      size_t bin = std::min(bins_ - 1,
+                            static_cast<size_t>(unit * bins_));
+      const size_t cy = std::min(cells_y - 1, y / cell_size_);
+      const size_t cx = std::min(cells_x - 1, x / cell_size_);
+      cell_hist(cy * cells_x + cx, bin) += mag;
+    }
+  }
+
+  Matrix out(desc_y * desc_x, descriptor_dim);
+  for (size_t cy = 0; cy < desc_y; ++cy) {
+    for (size_t cx = 0; cx < desc_x; ++cx) {
+      double* dst = out.RowPtr(cy * desc_x + cx);
+      size_t idx = 0;
+      for (size_t dy = 0; dy < 2; ++dy) {
+        for (size_t dx = 0; dx < 2; ++dx) {
+          const size_t yy = std::min(cells_y - 1, cy + dy);
+          const size_t xx = std::min(cells_x - 1, cx + dx);
+          const double* hist = cell_hist.RowPtr(yy * cells_x + xx);
+          for (size_t b = 0; b < bins_; ++b) dst[idx++] = hist[b];
+        }
+      }
+      // L2 normalize the descriptor.
+      double norm = 0.0;
+      for (size_t i = 0; i < descriptor_dim; ++i) norm += dst[i] * dst[i];
+      norm = std::sqrt(norm);
+      if (norm > 1e-12) {
+        for (size_t i = 0; i < descriptor_dim; ++i) dst[i] /= norm;
+      }
+    }
+  }
+  return out;
+}
+
+// Applies DenseSift(cell, bins) for bins 4, 8 and 12 to every image and
+// counts the descriptor matrices that differ in any bit from the
+// reference's.
+size_t SiftMismatches(const std::vector<Image>& images, size_t cell) {
+  size_t mismatches = 0;
+  for (size_t bins : {4, 8, 12}) {
+    const DenseSift sift(cell, bins);
+    for (const Image& img : images) {
+      mismatches += !SameBits(sift.Apply(img),
+                              ReferenceDenseSift(img, cell, bins));
+    }
+  }
+  return mismatches;
+}
+
+TEST(SiftKernelTest, WorkloadImagesMatchAtan2KernelBitForBit) {
+  // The ImageNet workload's corpus (seed 1), grayscaled as its SIFT branch
+  // does.
+  const workloads::ImageCorpus corpus =
+      workloads::TexturedImages(600, 200, 48, 3, 4, 0.05, 1);
+  const GrayScaler gray;
+  for (const auto& split : {corpus.train, corpus.test}) {
+    std::vector<Image> images;
+    for (const auto& part : split->partitions()) {
+      for (const Image& img : part) images.push_back(gray.Apply(img));
+    }
+    EXPECT_EQ(SiftMismatches(images, 8), 0u);
+  }
+}
+
+TEST(SiftKernelTest, EdgeCaseImagesMatchAtan2KernelBitForBit) {
+  Rng rng(61);
+  // Pixels k/4: many gradients lie exactly on an axis or a diagonal, or
+  // are zero.
+  std::vector<Image> quantized;
+  for (size_t i = 0; i < 20; ++i) {
+    Image img(16 + i, 16 + 2 * i, 1);
+    for (double& v : img.data) v = rng.NextIndex(5) / 4.0;
+    quantized.push_back(std::move(img));
+  }
+  EXPECT_EQ(SiftMismatches(quantized, 4), 0u);
+  EXPECT_EQ(SiftMismatches(quantized, 8), 0u);
+  // Sizes the cells do not divide, and a three-channel input (grayscaled
+  // inside the kernel).
+  const std::vector<Image> odd = {TestImage(37, 29, 1, 62),
+                                  TestImage(9, 9, 1, 63),
+                                  TestImage(37, 29, 3, 64),
+                                  TestImage(48, 48, 3, 65)};
+  EXPECT_EQ(SiftMismatches(odd, 4), 0u);
+  EXPECT_EQ(SiftMismatches(odd, 8), 0u);
+}
+
+TEST(SiftKernelTest, OctantBinsMatchAtan2OnAdversarialGradients) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMinSubnormal = std::numeric_limits<double>::denorm_min();
+  size_t checked = 0;
+  size_t mismatches = 0;
+  // (±a, ±b) and (±b, ±a).
+  auto check = [&](double a, double b) {
+    for (double x : {a, -a}) {
+      for (double y : {b, -b}) {
+        for (const auto& [gx, gy] : {std::pair{x, y}, std::pair{y, x}}) {
+          ++checked;
+          const size_t got = OrientationBin(gx, gy, 8);
+          const size_t want = ReferenceBin(gx, gy, 8);
+          if (got != want && ++mismatches <= 10) {
+            ADD_FAILURE() << std::hexfloat << "gx=" << gx << " gy=" << gy
+                          << ": bin " << got << ", atan2 kernel " << want;
+          }
+        }
+      }
+    }
+  };
+  std::vector<double> bases = {1.0,
+                               3.0,
+                               0.1,
+                               0.7,
+                               1.0 / 3.0,
+                               0.25,
+                               1e-300,
+                               std::numeric_limits<double>::min(),
+                               0x1p-1040,
+                               0x1p-1060,
+                               3 * kMinSubnormal,
+                               1e300,
+                               std::numeric_limits<double>::max()};
+  Rng rng(67);
+  while (bases.size() < 48) {
+    bases.push_back(std::ldexp(1.0 + rng.NextDouble(),
+                               static_cast<int>(rng.NextIndex(2040)) - 1020));
+  }
+  const double specials[] = {0.0, kMinSubnormal, 5 * kMinSubnormal,
+                             0x1p-1030, kInf, kNan};
+  for (double a : bases) {
+    // Near the diagonal: |gy| = |gx| (1 ± k 2^-52), across the guard at
+    // k = 2^12.
+    for (int k = 0; k < (1 << 14); ++k) {
+      check(a, a * (1.0 + k * 0x1p-52));
+      check(a, a * (1.0 - k * 0x1p-52));
+    }
+    // Near the axes: |gy| = |gx| 2^-k, through the subnormals to zero.
+    for (int k = 0; k <= 1100; ++k) check(a, std::ldexp(a, -k));
+    for (double b : specials) check(a, b);
+  }
+  for (double a : specials) {
+    for (double b : specials) check(a, b);
+  }
+  // Random gradients of pixel differences.
+  for (int i = 0; i < 100000; ++i) {
+    check(rng.NextDouble() - rng.NextDouble(),
+          rng.NextDouble() - rng.NextDouble());
+  }
+  EXPECT_GE(checked, 10000000u);
+  EXPECT_EQ(mismatches, 0u);
+  // Every other bin count takes the formula.
+  for (size_t bins : {1, 2, 4, 12, 16}) {
+    for (int i = 0; i < 1000; ++i) {
+      const double gx = rng.NextDouble() - 0.5;
+      const double gy = rng.NextDouble() - 0.5;
+      EXPECT_EQ(OrientationBin(gx, gy, bins), ReferenceBin(gx, gy, bins));
+    }
+  }
 }
 
 // --- KMeans -----------------------------------------------------------------
